@@ -1,16 +1,76 @@
 //! Micro-benchmarks of the substrates the flow leans on: the DC Newton
-//! solve, the DPI/SFG + Mason symbolic analysis, numeric TF extraction and
-//! the FFT-based converter metrics.
+//! solve, the DPI/SFG + Mason symbolic analysis, numeric TF extraction,
+//! the sparse symbolic LU analysis of a full chain and the FFT-based
+//! converter metrics.
 
 use adc_behav::metrics::sine_test;
 use adc_behav::pipeline::PipelineAdc;
-use adc_mdac::opamp::{build_telescopic, TelescopicParams};
+use adc_mdac::opamp::{build_telescopic, TelescopicParams, TwoStageParams};
+use adc_mdac::power::{design_chain, PowerModelParams};
+use adc_mdac::specs::AdcSpec;
+use adc_numerics::sparse::{CsrPattern, Symbolic};
 use adc_sfg::dpi::DpiSfg;
 use adc_sfg::nettf::{extract_tf, NetTfOptions};
 use adc_spice::dc::{dc_operating_point, DcOptions};
+use adc_spice::linearize::SmallSignal;
 use adc_spice::process::Process;
+use adc_synth::{Performance, SynthResult};
+use adc_topopt::enumerate::Candidate;
+use adc_topopt::flow::{ota_requirements, BlockOrigin, MdacBlock, TemplateKind};
+use adc_topopt::verify::{build_candidate_testbench, VerifyOptions};
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
+use std::sync::Arc;
+
+/// Small-signal pattern (`base` + `cap_entries`) of the 13-bit `4-3-2`
+/// winner's chain testbench (dim 124) at nominal OTA sizings — the pattern
+/// verification analyzes afresh on every served request.
+fn chain_432_pattern() -> Arc<CsrPattern> {
+    let spec = AdcSpec::date05(13);
+    let params = PowerModelParams::calibrated();
+    let blocks: Vec<MdacBlock> = design_chain(&spec, &[4, 3, 2], &params)
+        .iter()
+        .map(|d| {
+            let requirements = ota_requirements(d, &spec);
+            let best_x = match requirements.template {
+                TemplateKind::Telescopic => TelescopicParams::nominal().to_vec(),
+                TemplateKind::TwoStage => TwoStageParams::nominal().to_vec(),
+            };
+            MdacBlock {
+                key: d.spec.reuse_key(),
+                requirements,
+                result: SynthResult {
+                    best_x,
+                    best_u: Vec::new(),
+                    best_perf: Performance::default(),
+                    best_cost: 0.0,
+                    feasible: true,
+                    evaluations: 0,
+                },
+                retargeted: false,
+                origin: BlockOrigin::Cold,
+            }
+        })
+        .collect();
+    let tb = build_candidate_testbench(
+        &spec,
+        &Candidate::new(vec![4, 3, 2]),
+        &blocks,
+        &params,
+        &VerifyOptions::default(),
+    )
+    .unwrap();
+    let op = dc_operating_point(&tb.circuit, &tb.dc_options()).unwrap();
+    let mut ss = SmallSignal::new();
+    ss.bind(&tb.circuit, &op, 0.0).unwrap();
+    let entries: Vec<(usize, usize)> = ss
+        .base
+        .iter()
+        .chain(ss.cap_entries.iter())
+        .map(|&(r, c, _)| (r, c))
+        .collect();
+    CsrPattern::from_entries(ss.dim(), &entries).0
+}
 
 fn bench(c: &mut Criterion) {
     let proc = Process::c025();
@@ -24,6 +84,11 @@ fn bench(c: &mut Criterion) {
         b.iter(|| {
             black_box(extract_tf(&tb.circuit, &op, tb.output, &NetTfOptions::default()).unwrap())
         })
+    });
+
+    let chain = chain_432_pattern();
+    c.bench_function("symbolic_analyze_chain", |b| {
+        b.iter(|| black_box(Symbolic::analyze(black_box(&chain)).unwrap()))
     });
 
     // DPI/Mason on a common-source stage (symbolic path).

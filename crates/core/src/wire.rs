@@ -212,13 +212,14 @@ impl JsonValue {
     }
 
     /// Parses a JSON document (trailing whitespace allowed, nothing else).
+    /// Arrays and objects may nest at most 64 levels deep.
     ///
     /// # Errors
     /// [`WireError::Parse`] with the byte offset of the first offence.
     pub fn parse(text: &str) -> Result<JsonValue, WireError> {
         let bytes = text.as_bytes();
         let mut pos = 0usize;
-        let value = parse_value(bytes, &mut pos)?;
+        let value = parse_value(bytes, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(WireError::Parse {
@@ -268,11 +269,22 @@ fn expect_byte(bytes: &[u8], pos: &mut usize, want: u8) -> Result<(), WireError>
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, WireError> {
+/// Deepest array/object nesting [`JsonValue::parse`] accepts. The parser
+/// recurses once per level, so an unbounded depth would let a request body
+/// of a few hundred KB of `[` overflow the stack. The documents this module
+/// renders nest far less deep.
+const MAX_NESTING: usize = 64;
+
+/// Parses one value whose enclosing arrays/objects number `depth`.
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<JsonValue, WireError> {
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
-        Some(b'{') => parse_object(bytes, pos),
-        Some(b'[') => parse_array(bytes, pos),
+        Some(b'{' | b'[') if depth == MAX_NESTING => Err(fail(
+            *pos,
+            &format!("nesting deeper than {MAX_NESTING} levels"),
+        )),
+        Some(b'{') => parse_object(bytes, pos, depth + 1),
+        Some(b'[') => parse_array(bytes, pos, depth + 1),
         Some(b'"') => Ok(JsonValue::Str(parse_string(bytes, pos)?)),
         Some(b't') => parse_literal(bytes, pos, "true", JsonValue::Bool(true)),
         Some(b'f') => parse_literal(bytes, pos, "false", JsonValue::Bool(false)),
@@ -361,7 +373,7 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, WireError> {
     }
 }
 
-fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, WireError> {
+fn parse_array(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<JsonValue, WireError> {
     expect_byte(bytes, pos, b'[')?;
     let mut items = Vec::new();
     skip_ws(bytes, pos);
@@ -370,7 +382,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, WireError> {
         return Ok(JsonValue::Arr(items));
     }
     loop {
-        items.push(parse_value(bytes, pos)?);
+        items.push(parse_value(bytes, pos, depth)?);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => {
@@ -385,7 +397,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, WireError> {
     }
 }
 
-fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, WireError> {
+fn parse_object(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<JsonValue, WireError> {
     expect_byte(bytes, pos, b'{')?;
     let mut pairs = Vec::new();
     skip_ws(bytes, pos);
@@ -398,7 +410,7 @@ fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, WireError> {
         let key = parse_string(bytes, pos)?;
         skip_ws(bytes, pos);
         expect_byte(bytes, pos, b':')?;
-        let value = parse_value(bytes, pos)?;
+        let value = parse_value(bytes, pos, depth)?;
         pairs.push((key, value));
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
@@ -1087,6 +1099,33 @@ mod tests {
         }
         let err = JsonValue::parse("[1, 2,]").unwrap_err();
         assert!(matches!(err, WireError::Parse { .. }));
+    }
+
+    /// Nesting is bounded: exactly `MAX_NESTING` levels parse, one more is
+    /// a typed parse error at the offending bracket, and a body of
+    /// hundreds of thousands of `[` fails the same way instead of
+    /// overflowing the stack.
+    #[test]
+    fn parser_bounds_nesting_depth() {
+        let nested = |open: &str, close: &str, depth: usize| {
+            format!("{}1{}", open.repeat(depth), close.repeat(depth))
+        };
+        assert!(JsonValue::parse(&nested("[", "]", MAX_NESTING)).is_ok());
+        let doc = nested("{\"a\":", "}", MAX_NESTING);
+        assert!(JsonValue::parse(&doc).is_ok());
+        for (doc, bracket_at) in [
+            (nested("[", "]", MAX_NESTING + 1), MAX_NESTING),
+            (nested("{\"a\":", "}", MAX_NESTING + 1), 5 * MAX_NESTING),
+            ("[".repeat(500_000), MAX_NESTING),
+        ] {
+            match JsonValue::parse(&doc) {
+                Err(WireError::Parse { offset, reason }) => {
+                    assert!(reason.contains("nesting"), "{reason}");
+                    assert_eq!(offset, bracket_at);
+                }
+                other => panic!("expected a nesting error, got {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -498,3 +498,129 @@ proptest! {
         assert_bits_eq(&dets, &serial_det)?;
     }
 }
+
+/// Structural defect planted by [`random_structure`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Defect {
+    None,
+    /// One row has no entries.
+    EmptyRow,
+    /// One column has no entries.
+    EmptyCol,
+    /// `k + 1` rows share the same `k`-column support (Hall's condition
+    /// fails, so no pivot order exists).
+    DuplicatedSupport,
+}
+
+/// Draws a random `n × n` structure from `seed`: each off-diagonal
+/// position is present with probability `density`, each diagonal with
+/// probability `diag`, then `defect` is planted. Returns the entries and
+/// whether a defect was planted (it needs `n ≥ 2` for duplicated support).
+fn random_structure(
+    n: usize,
+    density: f64,
+    diag: f64,
+    defect: Defect,
+    seed: u64,
+) -> (Vec<(usize, usize)>, bool) {
+    // SplitMix64: a fixed, dependency-free stream per seed.
+    let mut state = seed;
+    let mut next = move || {
+        state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    };
+    let mut unit = move || (next() >> 11) as f64 / (1u64 << 53) as f64;
+    let mut present = vec![false; n * n];
+    for r in 0..n {
+        for c in 0..n {
+            let p = if r == c { diag } else { density };
+            present[r * n + c] = unit() < p;
+        }
+    }
+    let pick = |u: f64, m: usize| ((u * m as f64) as usize).min(m - 1);
+    let planted = match defect {
+        Defect::None => false,
+        Defect::EmptyRow => {
+            let r = pick(unit(), n);
+            present[r * n..(r + 1) * n].fill(false);
+            true
+        }
+        Defect::EmptyCol => {
+            let c = pick(unit(), n);
+            for r in 0..n {
+                present[r * n + c] = false;
+            }
+            true
+        }
+        Defect::DuplicatedSupport if n >= 2 => {
+            let k = 1 + pick(unit(), (n - 1).min(4));
+            let first_row = pick(unit(), n - k);
+            let first_col = pick(unit(), n - k + 1);
+            for r in first_row..=first_row + k {
+                for c in 0..n {
+                    present[r * n + c] = (first_col..first_col + k).contains(&c);
+                }
+            }
+            true
+        }
+        Defect::DuplicatedSupport => false,
+    };
+    let entries = (0..n * n)
+        .filter(|&p| present[p])
+        .map(|p| (p / n, p % n))
+        .collect();
+    (entries, planted)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(160))]
+
+    /// The sparse Markowitz analysis equals its dense oracle twin in every
+    /// field — pivot order, sign, filled pattern, diagonal positions,
+    /// scatter map and elimination schedule — on random structures from
+    /// dim 1 to 160, near-empty to full, with and without diagonals; and
+    /// on structurally singular ones both fail at the same step.
+    #[test]
+    fn symbolic_analysis_matches_dense_oracle(
+        n in 1usize..161,
+        density in prop_oneof![
+            2 => 0.0f64..0.05,
+            2 => 0.05f64..0.3,
+            1 => 0.3f64..1.0,
+            1 => Just(1.0),
+        ],
+        diag in prop_oneof![2 => Just(1.0f64), 1 => 0.0f64..1.0],
+        defect in prop_oneof![
+            3 => Just(Defect::None),
+            1 => Just(Defect::EmptyRow),
+            1 => Just(Defect::EmptyCol),
+            1 => Just(Defect::DuplicatedSupport),
+        ],
+        seed in 0u64..u64::MAX,
+    ) {
+        use adc_numerics::sparse::{CsrPattern, Symbolic};
+        use adc_numerics::NumericsError;
+        let (entries, planted) = random_structure(n, density, diag, defect, seed);
+        let (pat, _) = CsrPattern::from_entries(n, &entries);
+        let sparse = Symbolic::analyze(&pat);
+        let dense = Symbolic::analyze_dense(&pat);
+        if planted {
+            prop_assert!(
+                matches!(dense, Err(NumericsError::SingularMatrix { .. })),
+                "defect {:?} must be structurally singular", defect
+            );
+        }
+        // `Symbolic: PartialEq` compares every field; the sign is ±1, so
+        // value equality is bit equality.
+        prop_assert!(
+            sparse == dense,
+            "n = {}: sparse {:?} vs dense {:?}",
+            n,
+            sparse.as_ref().map(|s| s.factor_nnz()),
+            dense.as_ref().map(|d| d.factor_nnz())
+        );
+    }
+}

@@ -1,6 +1,7 @@
 //! End-to-end serving tests over real sockets: submit/poll/fetch against
 //! the batch oracle, warm-cache acceptance, concurrent-client
-//! bit-identity, admission control, cancellation, and typed error codes.
+//! bit-identity, admission control, cancellation, typed error codes, and
+//! bounded JSON nesting.
 
 use adc_mdac::power::PowerModelParams;
 use adc_mdac::specs::AdcSpec;
@@ -292,6 +293,26 @@ fn error_codes_are_typed() {
         http::request(addr, "GET", &format!("/v1/runs/{id}/result"), None).unwrap();
     assert_eq!(status, 409);
     assert!(body.contains("Ready"), "{body}");
+    server.shutdown();
+}
+
+/// A submission nested deeper than the parser allows — here 500 KB of
+/// `[`, under the request body limit — is a typed 400, not a stack
+/// overflow that takes the process down: `/healthz` still answers after it.
+#[test]
+fn deeply_nested_submission_is_rejected_and_server_survives() {
+    let server = FlowServer::start(ServerConfig {
+        workers: 0,
+        ..ServerConfig::default()
+    })
+    .unwrap();
+    let addr = server.addr();
+    let body = "[".repeat(500_000);
+    let (status, reply) = http::request(addr, "POST", "/v1/runs", Some(&body)).unwrap();
+    assert_eq!(status, 400, "{reply}");
+    assert!(reply.contains("nesting"), "{reply}");
+    let (status, _) = http::request(addr, "GET", "/healthz", None).unwrap();
+    assert_eq!(status, 200);
     server.shutdown();
 }
 

@@ -12,6 +12,8 @@
 //!   model's interstage-gain product;
 //! * Markowitz fill on the chain pattern stays near-linear and the
 //!   recalibrated `prefer_sparse` keeps the chain on the sparse path;
+//! * the sparse symbolic analysis equals its dense oracle twin on the
+//!   small-signal patterns of the four paper winners' chain testbenches;
 //! * the annealing-tail warm start (quantized acceptance costs) leaves
 //!   synthesis trajectories bit-identical to the cold path on the
 //!   telescopic bench.
@@ -348,17 +350,8 @@ fn chain_pattern_fill_is_near_linear() {
         &PipelineOptions::default(),
     )
     .unwrap();
-    let op = dc_operating_point(&tb.circuit, &tb.dc_options()).unwrap();
-    let mut ss = SmallSignal::new();
-    ss.bind(&tb.circuit, &op, 0.0).unwrap();
-    let dim = ss.dim();
-    let entries: Vec<(usize, usize)> = ss
-        .base
-        .iter()
-        .chain(ss.cap_entries.iter())
-        .map(|&(r, c, _)| (r, c))
-        .collect();
-    let (pattern, _) = CsrPattern::from_entries(dim, &entries);
+    let pattern = small_signal_pattern(&tb);
+    let dim = pattern.dim();
     assert!(
         prefer_sparse(dim, pattern.nnz()),
         "dim {dim}, nnz {} must stay sparse",
@@ -370,6 +363,84 @@ fn chain_pattern_fill_is_near_linear() {
         "factor nnz {} not near-linear at dim {dim}",
         sym.factor_nnz()
     );
+}
+
+/// Small-signal pattern (`base` + `cap_entries`) of a chain testbench at
+/// its DC operating point.
+fn small_signal_pattern(
+    tb: &pipelined_adc::mdac::netlist::PipelineTestbench,
+) -> std::sync::Arc<CsrPattern> {
+    let op = dc_operating_point(&tb.circuit, &tb.dc_options()).unwrap();
+    let mut ss = SmallSignal::new();
+    ss.bind(&tb.circuit, &op, 0.0).unwrap();
+    let entries: Vec<(usize, usize)> = ss
+        .base
+        .iter()
+        .chain(ss.cap_entries.iter())
+        .map(|&(r, c, _)| (r, c))
+        .collect();
+    CsrPattern::from_entries(ss.dim(), &entries).0
+}
+
+/// The sparse Markowitz analysis equals its dense oracle twin field for
+/// field on the production patterns it exists for: the chain testbenches
+/// of the paper winners 3-2/4-2/4-2-2/4-3-2 (10–13 bits), built through
+/// `build_candidate_testbench` from blocks at nominal sizings.
+#[test]
+fn winner_chain_patterns_analyze_like_dense_oracle() {
+    use pipelined_adc::synth::{Performance, SynthResult};
+    use pipelined_adc::topopt::enumerate::Candidate;
+    use pipelined_adc::topopt::flow::{ota_requirements, BlockOrigin, MdacBlock, TemplateKind};
+    use pipelined_adc::topopt::verify::{build_candidate_testbench, VerifyOptions};
+    let params = PowerModelParams::calibrated();
+    for (bits, front) in [
+        (10, vec![3, 2]),
+        (11, vec![4, 2]),
+        (12, vec![4, 2, 2]),
+        (13, vec![4, 3, 2]),
+    ] {
+        let spec = AdcSpec::date05(bits);
+        let blocks: Vec<MdacBlock> = design_chain(&spec, &front, &params)
+            .iter()
+            .map(|d| {
+                let requirements = ota_requirements(d, &spec);
+                let best_x = match requirements.template {
+                    TemplateKind::Telescopic => TelescopicParams::nominal().to_vec(),
+                    TemplateKind::TwoStage => TwoStageParams::nominal().to_vec(),
+                };
+                MdacBlock {
+                    key: d.spec.reuse_key(),
+                    requirements,
+                    result: SynthResult {
+                        best_x,
+                        best_u: Vec::new(),
+                        best_perf: Performance::default(),
+                        best_cost: 0.0,
+                        feasible: true,
+                        evaluations: 0,
+                    },
+                    retargeted: false,
+                    origin: BlockOrigin::Cold,
+                }
+            })
+            .collect();
+        let tb = build_candidate_testbench(
+            &spec,
+            &Candidate::new(front.clone()),
+            &blocks,
+            &params,
+            &VerifyOptions::default(),
+        )
+        .unwrap();
+        let pattern = small_signal_pattern(&tb);
+        let sparse = Symbolic::analyze(&pattern).unwrap();
+        let dense = Symbolic::analyze_dense(&pattern).unwrap();
+        assert!(
+            sparse == dense,
+            "{bits}-bit {front:?}: analyses differ at dim {}",
+            pattern.dim()
+        );
+    }
 }
 
 /// Satellite property: enabling the annealing-tail warm start (quantized
