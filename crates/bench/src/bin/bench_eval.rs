@@ -22,12 +22,11 @@
 //! fixed-step oracle at the adaptive run's own minimum dt
 //! (`tran_adaptive_vs_fixed_steps` — deterministic, gated two-sided).
 //!
-//! The `multi_res_flow_*` rows measure the 10/11/12/13-bit flow end to
-//! end: `multi_res_flow_waves` runs the retained PR-2 wave-barrier
-//! scheduler with no cache (the cold baseline), `multi_res_flow_cached`
-//! the dependency-driven executor with the persistent aggressive
-//! [`BlockCache`] shared across resolutions (both in blocks/s), and
-//! `multi_res_cache_hit_pct` the cross-resolution exact-hit percentage.
+//! The `multi_res_*` rows measure the 10/11/12/13-bit flow end to end:
+//! `multi_res_flow_cached` runs the dependency-driven executor with the
+//! persistent aggressive [`BlockCache`] shared across resolutions (in
+//! blocks/s), and `multi_res_cache_hit_pct` the cross-resolution
+//! exact-hit percentage.
 //! Detailed per-resolution statistics land in `CACHE_STATS.json` (uploaded
 //! as a CI artifact next to `BENCH_EVAL.json`).
 //!
@@ -47,8 +46,8 @@ use adc_topopt::enumerate::enumerate_candidates;
 use adc_topopt::enumerate::Candidate;
 use adc_topopt::executor::ExecutorOptions;
 use adc_topopt::flow::{
-    ota_requirements, run_flow, synthesize_candidate_set_waves, synthesize_multi_resolution,
-    synthesize_ota, FlowRequest, OtaRequirements,
+    ota_requirements, run_flow, synthesize_multi_resolution, synthesize_ota, FlowRequest,
+    OtaRequirements,
 };
 use adc_topopt::verify::{build_candidate_testbench, verify_candidate, VerifyOptions};
 use std::hint::black_box;
@@ -186,9 +185,9 @@ fn main() {
         evals: warm.evaluations,
     });
 
-    // Multi-resolution flow: 10/11/12/13-bit candidate sets, wave-barrier
-    // cold baseline vs dependency-driven executor + persistent aggressive
-    // cache. Both rows report block throughput (blocks/s).
+    // Multi-resolution flow: 10/11/12/13-bit candidate sets on the
+    // dependency-driven executor with a persistent aggressive cache,
+    // reported as block throughput (blocks/s).
     let specs: Vec<AdcSpec> = [10u32, 11, 12, 13]
         .iter()
         .map(|&k| AdcSpec::date05(k))
@@ -199,31 +198,13 @@ fn main() {
         seed: 11,
         ..Default::default()
     };
-    let t2 = Instant::now();
-    let mut waves_blocks = 0usize;
-    let mut waves_evals = 0usize;
-    let mut waves_feasible = 0usize;
-    for s in &specs {
-        let cands = enumerate_candidates(s.resolution, 7);
-        let blocks = synthesize_candidate_set_waves(s, &cands, &params, &flow_cfg);
-        waves_blocks += blocks.len();
-        waves_evals += blocks.iter().map(|b| b.result.evaluations).sum::<usize>();
-        waves_feasible += blocks.iter().filter(|b| b.result.feasible).count();
-    }
-    let t_waves = t2.elapsed().as_secs_f64();
-    rows.push(Row {
-        name: "multi_res_flow_waves",
-        evals_per_sec: waves_blocks as f64 / t_waves,
-        evals: waves_evals,
-    });
-
-    let mut cache = BlockCache::new(CachePolicy::Aggressive);
+    let cache = BlockCache::new(CachePolicy::Aggressive);
     let t3 = Instant::now();
     let runs = synthesize_multi_resolution(
         &specs,
         &params,
         &flow_cfg,
-        &mut cache,
+        &cache,
         &ExecutorOptions::default(),
     )
     .expect("multi-resolution flow completed without casualties");
@@ -485,25 +466,12 @@ fn main() {
         .count();
     stats_json.push_str(&format!(
         "  ],\n  \"totals\": {{ \"blocks\": {}, \"cache_hits\": {}, \"hit_rate_pct\": {:.2}, \
-         \"feasible_blocks\": {}, \"feasible_blocks_waves\": {}, \"evaluations_spent\": {}, \
-         \"evaluations_waves\": {}, \
-         \"wall_seconds_cached\": {:.4}, \"wall_seconds_waves\": {:.4}, \"speedup\": {:.3} }}\n}}\n",
-        cached_blocks,
-        hits,
-        hit_pct,
-        feasible,
-        waves_feasible,
-        spent,
-        waves_evals,
-        t_cached,
-        t_waves,
-        t_waves / t_cached
+         \"feasible_blocks\": {}, \"evaluations_spent\": {}, \
+         \"wall_seconds_cached\": {:.4} }}\n}}\n",
+        cached_blocks, hits, hit_pct, feasible, spent, t_cached
     ));
     std::fs::write("CACHE_STATS.json", &stats_json).expect("write CACHE_STATS.json");
-    eprintln!(
-        "wrote CACHE_STATS.json (speedup {:.2}x)",
-        t_waves / t_cached
-    );
+    eprintln!("wrote CACHE_STATS.json");
 
     let mut json = String::from("{\n");
     for (i, r) in rows.iter().enumerate() {

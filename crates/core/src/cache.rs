@@ -31,16 +31,25 @@
 //!   and parallel executors still agree bit for bit) but may differ from a
 //!   cache-cold run — the trade the multi-resolution flow makes for its
 //!   wall-clock win.
+//!
+//! ## Shards
+//!
+//! Entries live in independently locked shards, and every method takes
+//! `&self`, so one cache serves a batch run and the resident server's
+//! worker pool alike. A block's shard is `spec_fp % shards`: placement is
+//! a function of the block alone, so thread count, submission order and
+//! wall clock never move an entry. Lookup, commit and restore lock one
+//! shard; the near-hit scan and the snapshot export visit every shard and
+//! merge in the order a one-shard cache scans in. Results, statistics and
+//! snapshots therefore do not depend on the shard count —
+//! [`BlockCache::new`] (one shard) is the batch cache, and the server
+//! uses [`DEFAULT_SHARDS`] only to spread lock contention.
 
 use crate::flow::{OtaRequirements, TemplateKind};
-
-fn template_tag(t: TemplateKind) -> u8 {
-    t.tag()
-}
 use adc_numerics::quant::Fingerprint;
 use adc_synth::SynthResult;
 use std::collections::BTreeMap;
-use std::sync::{Mutex, PoisonError};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Reuse policy of a [`BlockCache`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -132,13 +141,11 @@ struct StoredEntry {
     integrity: u64,
 }
 
-/// Persistent block store keyed by `(template, normalized spec)`; see the
-/// module docs for the reuse tiers and policies.
+/// One shard's store: `(template tag, normalized spec fingerprint)` →
+/// entries, newest first. `BTreeMap` so every scan order is
+/// deterministic. A bucket emptied by an integrity sweep is removed.
 #[derive(Debug, Default)]
-pub struct BlockCache {
-    policy: CachePolicy,
-    /// `(template tag, normalized spec fingerprint)` → entries, newest
-    /// first. `BTreeMap` so every scan order is deterministic.
+struct Shard {
     buckets: BTreeMap<(u8, u64), Vec<StoredEntry>>,
     stats: CacheStats,
 }
@@ -151,54 +158,24 @@ pub fn key_distance(a: (u32, u32), b: (u32, u32)) -> i64 {
     (i64::from(a.0) - i64::from(b.0)).abs() * 16 + (i64::from(a.1) - i64::from(b.1)).abs()
 }
 
-impl BlockCache {
-    /// An empty cache with the given policy.
-    #[must_use]
-    pub fn new(policy: CachePolicy) -> Self {
-        BlockCache {
-            policy,
-            ..BlockCache::default()
-        }
-    }
+/// Integrity sweep: drops every entry whose stored result drifted from
+/// the stamp taken at commit time (never served), counting it in
+/// `dropped`.
+fn drop_corrupt(bucket: &mut Vec<StoredEntry>, dropped: &mut usize) {
+    let before = bucket.len();
+    bucket.retain(|s| s.integrity == result_integrity(&s.entry.result));
+    *dropped += before - bucket.len();
+}
 
-    /// The reuse policy.
-    #[must_use]
-    pub fn policy(&self) -> CachePolicy {
-        self.policy
-    }
-
-    /// Number of stored entries across all buckets.
-    #[must_use]
-    pub fn len(&self) -> usize {
+impl Shard {
+    fn len(&self) -> usize {
         self.buckets.values().map(Vec::len).sum()
     }
 
-    /// Whether the cache holds no entries.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.buckets.is_empty()
-    }
-
-    /// Cumulative statistics.
-    #[must_use]
-    pub fn stats(&self) -> CacheStats {
-        self.stats
-    }
-
-    /// Drops all entries (statistics are kept).
-    pub fn clear(&mut self) {
-        self.buckets.clear();
-    }
-
-    /// Exact lookup for a block about to be planned. `config` is the run's
-    /// configuration fingerprint — entries computed under a different
-    /// process/budget/evaluator setup never match, under either policy.
-    /// `provenance` is the fingerprint the current plan computes for the
-    /// block; under [`CachePolicy::Reproducible`] a hit must match it (and
-    /// the exact requirement bits), under [`CachePolicy::Aggressive`] the
-    /// newest same-spec same-config entry wins.
-    pub fn lookup(
+    /// [`BlockCache::lookup`] within this shard.
+    fn lookup(
         &mut self,
+        policy: CachePolicy,
         template: TemplateKind,
         spec_fp: u64,
         req: &OtaRequirements,
@@ -206,13 +183,14 @@ impl BlockCache {
         config: u64,
     ) -> Option<CacheEntry> {
         self.stats.lookups += 1;
-        let bucket = self.buckets.get_mut(&(template_tag(template), spec_fp))?;
-        // Integrity sweep: entries whose stored result drifted from the
-        // stamp taken at commit time are dropped, never served.
-        let before = bucket.len();
-        bucket.retain(|s| s.integrity == result_integrity(&s.entry.result));
-        self.stats.corrupt_dropped += before - bucket.len();
-        let found = match self.policy {
+        let bucket_key = (template.tag(), spec_fp);
+        let bucket = self.buckets.get_mut(&bucket_key)?;
+        drop_corrupt(bucket, &mut self.stats.corrupt_dropped);
+        if bucket.is_empty() {
+            self.buckets.remove(&bucket_key);
+            return None;
+        }
+        let found = match policy {
             CachePolicy::Reproducible => bucket.iter().find(|s| {
                 s.entry.config == config && s.entry.provenance == provenance && s.entry.req == *req
             }),
@@ -225,38 +203,12 @@ impl BlockCache {
         hit
     }
 
-    /// Nearest same-template same-config entry to `key` in the block
-    /// metric — the warm-start seed for a miss. `better_than` (the
-    /// distance of the planner's in-set warm source, if any) bounds the
-    /// search: only an entry **strictly** closer is returned, so ties keep
-    /// the legacy in-set behaviour. Ties between entries resolve to the
-    /// earliest in deterministic bucket order. Only consulted (and
-    /// counted) under [`CachePolicy::Aggressive`].
-    pub fn nearest(
-        &mut self,
-        template: TemplateKind,
-        key: (u32, u32),
-        better_than: Option<i64>,
-        config: u64,
-    ) -> Option<CacheEntry> {
-        if self.policy != CachePolicy::Aggressive {
-            return None;
-        }
-        let seed = self
-            .nearest_scored(template, key, better_than, config)
-            .map(|(_, _, e)| e);
-        if seed.is_some() {
-            self.stats.near_seeds += 1;
-        }
-        seed
-    }
-
     /// The policy-free core of [`BlockCache::nearest`]: sweeps integrity,
-    /// then returns the best entry with its `(distance, spec_fp)` score.
-    /// Scan order is ascending `(template, spec_fp)` with strict `<`, so
-    /// the winner is the minimum under `(distance, spec_fp, bucket index)`
-    /// — the ordering [`SharedCache`] merges shard-local winners by to stay
-    /// shard-count-invariant. Does not count `near_seeds` (callers own the
+    /// then returns this shard's best entry with its `(distance, spec_fp)`
+    /// score. Scan order is ascending `(template, spec_fp)` with strict
+    /// `<`, so the winner is the minimum under `(distance, spec_fp, bucket
+    /// index)` — the order [`BlockCache::nearest`] merges shard-local
+    /// winners by. Does not count `near_seeds` (the caller owns the
     /// accounting).
     fn nearest_scored(
         &mut self,
@@ -265,16 +217,15 @@ impl BlockCache {
         better_than: Option<i64>,
         config: u64,
     ) -> Option<(i64, u64, CacheEntry)> {
-        let tag = template_tag(template);
+        let tag = template.tag();
         // Integrity sweep over every bucket the scan would touch.
-        for ((t, _), bucket) in self.buckets.iter_mut() {
-            if *t != tag {
-                continue;
+        let dropped = &mut self.stats.corrupt_dropped;
+        self.buckets.retain(|&(t, _), bucket| {
+            if t == tag {
+                drop_corrupt(bucket, dropped);
             }
-            let before = bucket.len();
-            bucket.retain(|s| s.integrity == result_integrity(&s.entry.result));
-            self.stats.corrupt_dropped += before - bucket.len();
-        }
+            !bucket.is_empty()
+        });
         let mut best: Option<(u64, &CacheEntry)> = None;
         let mut best_dist = better_than.unwrap_or(i64::MAX);
         for ((t, fp), bucket) in &self.buckets {
@@ -296,15 +247,9 @@ impl BlockCache {
         best.map(|(fp, e)| (best_dist, fp, e.clone()))
     }
 
-    /// Stores a synthesized block. Re-inserting an existing provenance is a
-    /// no-op; buckets keep only the newest few provenance chains
-    /// (`BUCKET_CAP`). The entry is stamped with an integrity fingerprint
-    /// of its result, verified on every later lookup.
-    pub fn insert(&mut self, template: TemplateKind, spec_fp: u64, entry: CacheEntry) {
-        let bucket = self
-            .buckets
-            .entry((template_tag(template), spec_fp))
-            .or_default();
+    /// [`BlockCache::insert`] within this shard.
+    fn insert(&mut self, template: TemplateKind, spec_fp: u64, entry: CacheEntry) {
+        let bucket = self.buckets.entry((template.tag(), spec_fp)).or_default();
         if bucket
             .iter()
             .any(|s| s.entry.provenance == entry.provenance)
@@ -334,8 +279,7 @@ impl BlockCache {
     }
 
     /// Appends every stored entry (with its commit-time integrity stamp)
-    /// to `out` — the snapshot export surface. Emission order is the
-    /// deterministic bucket order: ascending `(template, spec_fp)`, then
+    /// to `out` in bucket order: ascending `(template, spec_fp)`, then
     /// newest-first within a bucket.
     fn export_into(&self, out: &mut Vec<SnapshotEntry>) {
         for ((_, fp), bucket) in &self.buckets {
@@ -349,13 +293,7 @@ impl BlockCache {
         }
     }
 
-    /// Restores one snapshot entry, re-verifying the persisted integrity
-    /// stamp against the (re-computed) content fingerprint of the loaded
-    /// result: an entry corrupted on disk — or by an injected
-    /// `cache_commit` fault on the load path — is dropped and counted in
-    /// [`CacheStats::corrupt_dropped`], never stored. Entries are appended
-    /// in call order, so restoring a snapshot in export order rebuilds the
-    /// original newest-first buckets. Returns whether the entry was kept.
+    /// [`BlockCache::restore_entry`] within this shard.
     fn restore(&mut self, e: SnapshotEntry) -> bool {
         #[allow(unused_mut)]
         let mut e = e;
@@ -371,7 +309,7 @@ impl BlockCache {
         }
         let bucket = self
             .buckets
-            .entry((template_tag(e.entry.req.template), e.spec_fp))
+            .entry((e.entry.req.template.tag(), e.spec_fp))
             .or_default();
         if bucket.len() >= BUCKET_CAP
             || bucket
@@ -402,168 +340,86 @@ pub struct SnapshotEntry {
     pub integrity: u64,
 }
 
-/// The cache consultation surface [`crate::flow::run_flow`] plans and
-/// commits through — implemented by an exclusively borrowed [`BlockCache`]
-/// and by a [`SharedCache`] reference that locks one shard per call.
-pub(crate) trait FlowCache {
-    /// Exact lookup (see [`BlockCache::lookup`]).
-    fn lookup(
-        &mut self,
-        template: TemplateKind,
-        spec_fp: u64,
-        req: &OtaRequirements,
-        provenance: u64,
-        config: u64,
-    ) -> Option<CacheEntry>;
-    /// Near-hit seed (see [`BlockCache::nearest`]).
-    fn nearest(
-        &mut self,
-        template: TemplateKind,
-        key: (u32, u32),
-        better_than: Option<i64>,
-        config: u64,
-    ) -> Option<CacheEntry>;
-    /// Commit (see [`BlockCache::insert`]).
-    fn insert(&mut self, template: TemplateKind, spec_fp: u64, entry: CacheEntry);
-}
-
-impl FlowCache for BlockCache {
-    fn lookup(
-        &mut self,
-        template: TemplateKind,
-        spec_fp: u64,
-        req: &OtaRequirements,
-        provenance: u64,
-        config: u64,
-    ) -> Option<CacheEntry> {
-        BlockCache::lookup(self, template, spec_fp, req, provenance, config)
-    }
-    fn nearest(
-        &mut self,
-        template: TemplateKind,
-        key: (u32, u32),
-        better_than: Option<i64>,
-        config: u64,
-    ) -> Option<CacheEntry> {
-        BlockCache::nearest(self, template, key, better_than, config)
-    }
-    fn insert(&mut self, template: TemplateKind, spec_fp: u64, entry: CacheEntry) {
-        BlockCache::insert(self, template, spec_fp, entry);
-    }
-}
-
-impl FlowCache for &SharedCache {
-    fn lookup(
-        &mut self,
-        template: TemplateKind,
-        spec_fp: u64,
-        req: &OtaRequirements,
-        provenance: u64,
-        config: u64,
-    ) -> Option<CacheEntry> {
-        SharedCache::lookup(self, template, spec_fp, req, provenance, config)
-    }
-    fn nearest(
-        &mut self,
-        template: TemplateKind,
-        key: (u32, u32),
-        better_than: Option<i64>,
-        config: u64,
-    ) -> Option<CacheEntry> {
-        SharedCache::nearest(self, template, key, better_than, config)
-    }
-    fn insert(&mut self, template: TemplateKind, spec_fp: u64, entry: CacheEntry) {
-        SharedCache::insert(self, template, spec_fp, entry);
-    }
-}
-
-/// Default shard count of a [`SharedCache`] — enough that a worker pool
-/// sized for commodity cores rarely collides on one lock, small enough
-/// that merged-stats scans stay trivial.
+/// Shard count of the resident flow server's [`BlockCache`] — enough
+/// that a worker pool sized for commodity cores rarely collides on one
+/// lock, small enough that merged-stats scans stay trivial.
 pub const DEFAULT_SHARDS: usize = 8;
 
-/// A [`BlockCache`] split across N independently locked shards — the
-/// resident flow server's cache substrate, replacing the single
-/// `Mutex<BlockCache>` whose one lock every worker funnelled through.
-///
-/// A block's shard is chosen by its existing normalized-spec
-/// [`Fingerprint`] (`spec_fp % shards`), so placement is a deterministic
-/// function of the block alone: thread count, submission order and wall
-/// clock never move an entry between shards. Lookup and commit lock
-/// exactly one shard; only the aggressive-policy near-hit scan (never
-/// consulted by the reproducible serving path) visits all shards, merging
-/// shard-local winners under the same `(distance, spec_fp, bucket index)`
-/// order a single cache scans in — so `nearest` answers are
-/// shard-count-invariant too. [`SharedCache::stats`] merges per-shard
-/// counters in fixed shard order (a commutative sum, deterministic for
-/// any interleaving).
+/// Persistent block store keyed by `(template, normalized spec)` and
+/// split across independently locked shards; see the module docs for the
+/// reuse tiers, policies and shard placement.
 #[derive(Debug)]
-pub struct SharedCache {
+pub struct BlockCache {
     policy: CachePolicy,
-    shards: Vec<Mutex<BlockCache>>,
+    shards: Vec<Mutex<Shard>>,
 }
 
-impl SharedCache {
-    /// An empty sharded cache. `shards` is clamped to at least 1.
+/// Former name of the sharded [`BlockCache`].
+#[deprecated(note = "use `BlockCache`")]
+pub type SharedCache = BlockCache;
+
+/// Locks one shard. A poisoned lock is recovered: every shard update
+/// leaves the map valid, and the integrity stamps guard stored results.
+fn lock(shard: &Mutex<Shard>) -> MutexGuard<'_, Shard> {
+    shard.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+impl BlockCache {
+    /// An empty one-shard cache with the given policy.
     #[must_use]
-    pub fn new(policy: CachePolicy, shards: usize) -> Self {
-        SharedCache {
+    pub fn new(policy: CachePolicy) -> Self {
+        BlockCache::with_shards(policy, 1)
+    }
+
+    /// An empty cache split across `shards` locks (clamped to at least 1).
+    /// Results do not depend on the count; more shards only reduce lock
+    /// contention between concurrent runs.
+    #[must_use]
+    pub fn with_shards(policy: CachePolicy, shards: usize) -> Self {
+        BlockCache {
             policy,
-            shards: (0..shards.max(1))
-                .map(|_| Mutex::new(BlockCache::new(policy)))
-                .collect(),
+            shards: (0..shards.max(1)).map(|_| Mutex::default()).collect(),
         }
     }
 
-    /// [`SharedCache::new`] with [`DEFAULT_SHARDS`].
+    /// [`BlockCache::with_shards`] with [`DEFAULT_SHARDS`].
+    #[deprecated(note = "use `BlockCache::with_shards(policy, DEFAULT_SHARDS)`")]
     #[must_use]
     pub fn with_default_shards(policy: CachePolicy) -> Self {
-        SharedCache::new(policy, DEFAULT_SHARDS)
+        BlockCache::with_shards(policy, DEFAULT_SHARDS)
     }
 
-    /// The reuse policy (uniform across shards).
+    /// The reuse policy.
     #[must_use]
     pub fn policy(&self) -> CachePolicy {
         self.policy
     }
 
-    /// Number of shards.
-    #[must_use]
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
     /// The shard owning `spec_fp`. Deterministic in the fingerprint and
     /// the shard count alone.
-    fn shard(&self, spec_fp: u64) -> std::sync::MutexGuard<'_, BlockCache> {
-        let idx = (spec_fp % self.shards.len() as u64) as usize;
-        self.shards[idx]
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
+    fn shard(&self, spec_fp: u64) -> MutexGuard<'_, Shard> {
+        lock(&self.shards[(spec_fp % self.shards.len() as u64) as usize])
     }
 
-    /// Total stored entries across all shards.
+    /// Number of stored entries across all shards.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.lock().unwrap_or_else(PoisonError::into_inner).len())
-            .sum()
+        self.shards.iter().map(|s| lock(s).len()).sum()
     }
 
-    /// Whether no shard holds an entry.
+    /// Whether the cache holds no entries.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.shards.iter().all(|s| lock(s).buckets.is_empty())
     }
 
-    /// Merged cumulative statistics: the field-wise sum over shards in
-    /// fixed shard order.
+    /// Cumulative statistics: the field-wise sum over shards in fixed
+    /// shard order.
     #[must_use]
     pub fn stats(&self) -> CacheStats {
         let mut total = CacheStats::default();
         for shard in &self.shards {
-            let s = shard.lock().unwrap_or_else(PoisonError::into_inner).stats();
+            let s = lock(shard).stats;
             total.lookups += s.lookups;
             total.hits += s.hits;
             total.near_seeds += s.near_seeds;
@@ -573,14 +429,14 @@ impl SharedCache {
         total
     }
 
-    /// Drops all entries in every shard (statistics are kept).
-    pub fn clear(&self) {
-        for shard in &self.shards {
-            shard.lock().unwrap_or_else(PoisonError::into_inner).clear();
-        }
-    }
-
-    /// [`BlockCache::lookup`] against the owning shard (one lock).
+    /// Exact lookup for a block about to be planned (locks one shard).
+    /// `config` is the run's configuration fingerprint — entries computed
+    /// under a different process/budget/evaluator setup never match, under
+    /// either policy. `provenance` is the fingerprint the current plan
+    /// computes for the block; under [`CachePolicy::Reproducible`] a hit
+    /// must match it (and the exact requirement bits), under
+    /// [`CachePolicy::Aggressive`] the newest same-spec same-config entry
+    /// wins. Corrupted entries met on the way are dropped, never served.
     pub fn lookup(
         &self,
         template: TemplateKind,
@@ -590,15 +446,18 @@ impl SharedCache {
         config: u64,
     ) -> Option<CacheEntry> {
         self.shard(spec_fp)
-            .lookup(template, spec_fp, req, provenance, config)
+            .lookup(self.policy, template, spec_fp, req, provenance, config)
     }
 
-    /// [`BlockCache::nearest`] across all shards: each shard reports its
-    /// local winner (already minimal under `(distance, spec_fp, bucket
-    /// index)`), and the global winner is the minimum under `(distance,
-    /// spec_fp)` — exactly the order a single unsharded scan encounters
-    /// entries in, so the answer does not depend on the shard count. The
-    /// `near_seeds` count lands in the winning entry's shard.
+    /// Nearest same-template same-config entry to `key` in the block
+    /// metric — the warm-start seed for a miss. `better_than` (the
+    /// distance of the planner's in-set warm source, if any) bounds the
+    /// search: only an entry **strictly** closer is returned, so ties keep
+    /// the in-set source. Each shard reports its local winner and the
+    /// global winner is the minimum under `(distance, spec_fp)` — the
+    /// order a one-shard scan meets entries in, so the answer does not
+    /// depend on the shard count. Only consulted (and counted, in the
+    /// winning entry's shard) under [`CachePolicy::Aggressive`].
     pub fn nearest(
         &self,
         template: TemplateKind,
@@ -609,53 +468,51 @@ impl SharedCache {
         if self.policy != CachePolicy::Aggressive {
             return None;
         }
-        let mut best: Option<(i64, u64, CacheEntry)> = None;
-        for shard in &self.shards {
-            let mut guard = shard.lock().unwrap_or_else(PoisonError::into_inner);
-            if let Some((d, fp, e)) = guard.nearest_scored(template, key, better_than, config) {
-                let wins = match &best {
-                    None => true,
-                    Some((bd, bfp, _)) => (d, fp) < (*bd, *bfp),
-                };
-                if wins {
-                    best = Some((d, fp, e));
-                }
-            }
-        }
+        let best = self
+            .shards
+            .iter()
+            .filter_map(|shard| lock(shard).nearest_scored(template, key, better_than, config))
+            .min_by_key(|&(d, fp, _)| (d, fp));
         best.map(|(_, fp, e)| {
             self.shard(fp).stats.near_seeds += 1;
             e
         })
     }
 
-    /// [`BlockCache::insert`] against the owning shard (one lock).
+    /// Stores a synthesized block (locks one shard). Re-inserting an
+    /// existing provenance is a no-op; buckets keep only the newest few
+    /// provenance chains (`BUCKET_CAP`). The entry is stamped with an
+    /// integrity fingerprint of its result, verified on every later
+    /// lookup.
     pub fn insert(&self, template: TemplateKind, spec_fp: u64, entry: CacheEntry) {
         self.shard(spec_fp).insert(template, spec_fp, entry);
     }
 
-    /// Every stored entry across all shards in a **shard-count-invariant**
-    /// order — sorted by `(template, spec_fp, bucket index)` — so the
-    /// rendered snapshot of a given cache content is byte-identical
-    /// whether it was accumulated under 1 shard or 64.
+    /// Every stored entry in a **shard-count-invariant** order — sorted by
+    /// `(template, spec_fp, bucket index)` — so the rendered snapshot of a
+    /// given cache content is byte-identical whether it was accumulated
+    /// under 1 shard or 64.
     #[must_use]
     pub fn export_entries(&self) -> Vec<SnapshotEntry> {
         let mut all: Vec<SnapshotEntry> = Vec::new();
         for shard in &self.shards {
-            shard
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .export_into(&mut all);
+            lock(shard).export_into(&mut all);
         }
         // Bucket order within a shard is already deterministic; a stable
         // sort on the bucket key makes the concatenation shard-invariant
         // while preserving each bucket's newest-first entry order.
-        all.sort_by_key(|e| (template_tag(e.entry.req.template), e.spec_fp));
+        all.sort_by_key(|e| (e.entry.req.template.tag(), e.spec_fp));
         all
     }
 
-    /// Restores one exported entry into its shard (integrity re-verified;
-    /// corrupt entries dropped and counted — see [`BlockCache`] restore
-    /// semantics). Returns whether the entry was kept.
+    /// Restores one exported entry into its shard, re-verifying the
+    /// persisted integrity stamp against the (re-computed) content
+    /// fingerprint of the loaded result: an entry corrupted on disk — or
+    /// by an injected `cache_commit` fault on the load path — is dropped
+    /// and counted in [`CacheStats::corrupt_dropped`], never stored.
+    /// Entries are appended in call order, so restoring a snapshot in
+    /// export order rebuilds the original newest-first buckets. Returns
+    /// whether the entry was kept.
     pub fn restore_entry(&self, entry: SnapshotEntry) -> bool {
         self.shard(entry.spec_fp).restore(entry)
     }
@@ -664,11 +521,7 @@ impl SharedCache {
     /// version-rejected snapshot records) as corrupt-dropped, so the
     /// merged statistics account for every entry the snapshot claimed.
     pub fn note_corrupt_dropped(&self, n: usize) {
-        self.shards[0]
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .stats
-            .corrupt_dropped += n;
+        lock(&self.shards[0]).stats.corrupt_dropped += n;
     }
 }
 
@@ -676,10 +529,12 @@ impl SharedCache {
 impl BlockCache {
     /// Flips a bit in every stored result — simulates storage corruption
     /// without going through the fault-injection registry.
-    fn corrupt_all_for_test(&mut self) {
-        for bucket in self.buckets.values_mut() {
-            for s in bucket.iter_mut() {
-                s.entry.result.best_cost += 1.0;
+    fn corrupt_all_for_test(&self) {
+        for shard in &self.shards {
+            for bucket in lock(shard).buckets.values_mut() {
+                for s in bucket.iter_mut() {
+                    s.entry.result.best_cost += 1.0;
+                }
             }
         }
     }
@@ -724,7 +579,7 @@ mod tests {
 
     #[test]
     fn reproducible_requires_provenance_and_exact_req() {
-        let mut c = BlockCache::new(CachePolicy::Reproducible);
+        let c = BlockCache::new(CachePolicy::Reproducible);
         c.insert(TemplateKind::Telescopic, 42, entry((2, 8), 7));
         assert!(c
             .lookup(TemplateKind::Telescopic, 42, &req(100.0), 7, CFG)
@@ -756,7 +611,7 @@ mod tests {
 
     #[test]
     fn aggressive_ignores_provenance_and_seeds_near_hits() {
-        let mut c = BlockCache::new(CachePolicy::Aggressive);
+        let c = BlockCache::new(CachePolicy::Aggressive);
         c.insert(TemplateKind::Telescopic, 42, entry((2, 8), 7));
         assert!(c
             .lookup(TemplateKind::Telescopic, 42, &req(100.0), 999, CFG)
@@ -790,7 +645,7 @@ mod tests {
             .is_some());
         assert_eq!(c.stats().near_seeds, 2);
 
-        let mut repro = BlockCache::new(CachePolicy::Reproducible);
+        let repro = BlockCache::new(CachePolicy::Reproducible);
         repro.insert(TemplateKind::Telescopic, 42, entry((2, 8), 7));
         assert!(repro
             .nearest(TemplateKind::Telescopic, (2, 9), None, CFG)
@@ -799,7 +654,7 @@ mod tests {
 
     #[test]
     fn buckets_dedup_and_cap() {
-        let mut c = BlockCache::new(CachePolicy::Aggressive);
+        let c = BlockCache::new(CachePolicy::Aggressive);
         for p in 0..10 {
             c.insert(TemplateKind::Telescopic, 42, entry((2, 8), p));
             c.insert(TemplateKind::Telescopic, 42, entry((2, 8), p)); // dup
@@ -815,7 +670,7 @@ mod tests {
 
     #[test]
     fn corrupted_entries_are_dropped_not_served() {
-        let mut c = BlockCache::new(CachePolicy::Aggressive);
+        let c = BlockCache::new(CachePolicy::Aggressive);
         c.insert(TemplateKind::Telescopic, 42, entry((2, 8), 7));
         c.corrupt_all_for_test();
         assert!(
@@ -825,6 +680,7 @@ mod tests {
         );
         assert_eq!(c.stats().corrupt_dropped, 1);
         assert_eq!(c.len(), 0, "corrupted entry is evicted");
+        assert!(c.is_empty());
         // Same through the near-hit path.
         c.insert(TemplateKind::Telescopic, 43, entry((3, 9), 8));
         c.corrupt_all_for_test();

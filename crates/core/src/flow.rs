@@ -8,24 +8,24 @@
 //! warm-starts from the nearest finished design. This module extends that
 //! reuse across whole **resolution runs** through the persistent
 //! [`BlockCache`], and executes the distinct blocks of a set on the
-//! dependency-driven [`executor`](crate::executor) instead of barrier
-//! waves.
+//! dependency-driven [`executor`](crate::executor).
 //!
 //! ## Scheduling pipeline
+//!
+//! [`run_flow`] is the one entry point: it takes a [`FlowRequest`] and an
+//! optional [`BlockCache`] (one-shard for a batch run, sharded for the
+//! resident server — results are the same either way).
 //!
 //! 1. `plan_candidate_set` (internal) — serial encounter order, warm-start
 //!    DAG from the keys alone (pure function of the candidate list);
 //! 2. cache consultation — exact hits skip synthesis, near hits seed warm
 //!    starts (policy-gated, see [`CachePolicy`](crate::cache::CachePolicy));
-//! 3. [`executor::run_dag`](crate::executor::run_dag) — each block spawns
-//!    the moment its warm source completes;
+//! 3. guarded execution — on the dependency-driven executor, where each
+//!    block spawns the moment its warm source completes, or strictly
+//!    serially ([`FlowRequest::serial`], the bit-identical oracle);
 //! 4. deterministic merge (ascending reuse key) + cache commit.
-//!
-//! [`synthesize_candidate_set_serial`] remains the bit-identical serial
-//! oracle, and [`synthesize_candidate_set_waves`] retains the PR-2
-//! wave-barrier scheduler as a benchmarking baseline.
 
-use crate::cache::{key_distance, BlockCache, CacheEntry, FlowCache, SharedCache};
+use crate::cache::{key_distance, BlockCache, CacheEntry};
 use crate::enumerate::Candidate;
 use crate::executor::{run_dag_outcomes, BlockFailure, BlockOutcome, ExecutorOptions, FailureKind};
 use adc_mdac::opamp::{
@@ -633,7 +633,7 @@ fn schedule_candidate_set(
     candidates: &[Candidate],
     params: &PowerModelParams,
     cfg: &SynthConfig,
-    mut cache: Option<&mut dyn FlowCache>,
+    cache: Option<&BlockCache>,
 ) -> Vec<ScheduledBlock> {
     let planned = plan_candidate_set(spec, candidates, params);
     let cfg_fp = flow_config_fingerprint(&spec.process, cfg);
@@ -670,7 +670,7 @@ fn schedule_candidate_set(
             None => 0,
         };
         let mut provenance = chain(planned_warm_prov);
-        if let Some(cache) = cache.as_deref_mut() {
+        if let Some(cache) = cache {
             // Exact hit first: it supersedes any warm-source decision, so
             // the (whole-cache) near-hit scan only runs on a miss.
             if let Some(hit) = cache.lookup(p.req.template, spec_fp, &p.req, provenance, cfg_fp) {
@@ -929,7 +929,7 @@ fn execute_schedule_serial(
 fn finish_run(
     scheduled: Vec<ScheduledBlock>,
     outcomes: Vec<BlockOutcome<ExecutedBlock>>,
-    mut cache: Option<&mut dyn FlowCache>,
+    cache: Option<&BlockCache>,
     deadline_slack_ms: Option<i64>,
 ) -> SynthesisRun {
     let mut stats = RunStats {
@@ -972,7 +972,7 @@ fn finish_run(
             // Cache-commit gate: only results produced exactly as planned
             // carry the provenance computed at schedule time.
             if executed.as_planned {
-                if let Some(cache) = cache.as_deref_mut() {
+                if let Some(cache) = cache {
                     cache.insert(
                         b.req.template,
                         b.spec_fp,
@@ -1023,11 +1023,9 @@ impl Default for ExecutionMode {
 
 /// One complete candidate-set synthesis request: the spec, the candidates
 /// under consideration, the power-model and synthesis configurations, the
-/// fault-tolerance [`FlowOptions`], and the [`ExecutionMode`] — the single
-/// entry contract that replaced the six historical
-/// `synthesize_candidate_set*` functions. Cache policy rides separately
-/// (as the `cache` argument of [`run_flow`] / [`run_flow_shared`]) because
-/// the cache outlives any one request.
+/// fault-tolerance [`FlowOptions`], and the [`ExecutionMode`]. The cache
+/// rides separately (as the `cache` argument of [`run_flow`]) because it
+/// outlives any one request.
 #[derive(Debug, Clone)]
 pub struct FlowRequest<'a> {
     /// Converter specification (resolution, rate, supply, process).
@@ -1095,67 +1093,17 @@ impl<'a> FlowRequest<'a> {
 /// consultation), guarded execution in the requested mode, deterministic
 /// merge + cache commit. Failed blocks are isolated, retried up the
 /// recovery ladder, and reported as [`SynthesisRun::failures`] while the
-/// survivors are ranked normally; with default [`FlowOptions`] and no
-/// faults the result is bit-identical to the historical
-/// `synthesize_candidate_set*` paths (enforced by a regression test).
-pub fn run_flow(req: &FlowRequest<'_>, mut cache: Option<&mut BlockCache>) -> SynthesisRun {
-    let run_deadline = req.run_deadline();
-    let scheduled = schedule_candidate_set(
-        req.spec,
-        req.candidates,
-        req.params,
-        req.cfg,
-        cache.as_deref_mut().map(|c| c as &mut dyn FlowCache),
-    );
-    let outcomes = match &req.mode {
-        ExecutionMode::Parallel(exec) => execute_schedule(
-            &req.spec.process,
-            &scheduled,
-            req.cfg,
-            exec,
-            &req.options,
-            run_deadline,
-        ),
-        ExecutionMode::Serial => execute_schedule_serial(
-            &req.spec.process,
-            &scheduled,
-            req.cfg,
-            &req.options,
-            run_deadline,
-        ),
-    };
-    let slack = run_deadline
-        .slack_seconds()
-        .map(|s| (s * 1e3).round() as i64);
-    finish_run(
-        scheduled,
-        outcomes,
-        cache.map(|c| c as &mut dyn FlowCache),
-        slack,
-    )
-}
-
-/// [`run_flow`] against a **sharded** [`SharedCache`] — the resident
-/// flow-server entry point. Each lookup during scheduling and each commit
-/// afterwards locks exactly the one shard owning that block's
-/// normalized-spec fingerprint; the synthesis itself runs unlocked, so
-/// concurrent requests interleave their block executions (and their cache
-/// consultations on distinct shards) while every shard stays consistent.
-/// Poisoned shard locks are recovered (the cache's integrity fingerprints
-/// already guard against torn entries). The result is deterministic given
-/// the per-shard cache state observed at each lookup; under
+/// survivors are ranked normally.
+///
+/// Each cache lookup during scheduling and each commit afterwards locks
+/// only the shard owning that block; synthesis runs unlocked, so
+/// concurrent requests on one sharded cache interleave freely. The result
+/// is deterministic given the cache state observed at each lookup; under
 /// [`crate::cache::CachePolicy::Reproducible`] it is bit-identical to a
 /// cache-cold serial run for any shard or thread count.
-pub fn run_flow_shared(req: &FlowRequest<'_>, cache: &SharedCache) -> SynthesisRun {
+pub fn run_flow(req: &FlowRequest<'_>, cache: Option<&BlockCache>) -> SynthesisRun {
     let run_deadline = req.run_deadline();
-    let mut handle: &SharedCache = cache;
-    let scheduled = schedule_candidate_set(
-        req.spec,
-        req.candidates,
-        req.params,
-        req.cfg,
-        Some(&mut handle as &mut dyn FlowCache),
-    );
+    let scheduled = schedule_candidate_set(req.spec, req.candidates, req.params, req.cfg, cache);
     let outcomes = match &req.mode {
         ExecutionMode::Parallel(exec) => execute_schedule(
             &req.spec.process,
@@ -1176,110 +1124,13 @@ pub fn run_flow_shared(req: &FlowRequest<'_>, cache: &SharedCache) -> SynthesisR
     let slack = run_deadline
         .slack_seconds()
         .map(|s| (s * 1e3).round() as i64);
-    let mut handle: &SharedCache = cache;
-    finish_run(
-        scheduled,
-        outcomes,
-        Some(&mut handle as &mut dyn FlowCache),
-        slack,
-    )
+    finish_run(scheduled, outcomes, cache, slack)
 }
 
-/// Synthesizes every distinct MDAC of a candidate set with reuse: exact
-/// key hits are returned from the cache; otherwise the nearest same-template
-/// block (by input accuracy) warm-starts a retargeting run.
-#[deprecated(note = "use `run_flow` with a `FlowRequest`")]
-pub fn synthesize_candidate_set(
-    spec: &AdcSpec,
-    candidates: &[Candidate],
-    params: &PowerModelParams,
-    cfg: &SynthConfig,
-) -> Vec<MdacBlock> {
-    run_flow(&FlowRequest::new(spec, candidates, params, cfg), None).blocks
-}
-
-/// [`synthesize_candidate_set`] with an optional persistent [`BlockCache`]
-/// and explicit executor options.
-#[deprecated(note = "use `run_flow` with a `FlowRequest`")]
-pub fn synthesize_candidate_set_with(
-    spec: &AdcSpec,
-    candidates: &[Candidate],
-    params: &PowerModelParams,
-    cfg: &SynthConfig,
-    cache: Option<&mut BlockCache>,
-    exec: &ExecutorOptions,
-) -> SynthesisRun {
-    run_flow(
-        &FlowRequest::new(spec, candidates, params, cfg).with_executor(exec.clone()),
-        cache,
-    )
-}
-
-/// [`synthesize_candidate_set_with`] with explicit fault-tolerance options.
-#[deprecated(note = "use `run_flow` with a `FlowRequest`")]
-pub fn synthesize_candidate_set_guarded(
-    spec: &AdcSpec,
-    candidates: &[Candidate],
-    params: &PowerModelParams,
-    cfg: &SynthConfig,
-    cache: Option<&mut BlockCache>,
-    exec: &ExecutorOptions,
-    flow: &FlowOptions,
-) -> SynthesisRun {
-    run_flow(
-        &FlowRequest::new(spec, candidates, params, cfg)
-            .with_executor(exec.clone())
-            .with_options(*flow),
-        cache,
-    )
-}
-
-/// Sequential reference implementation of [`synthesize_candidate_set`].
-#[deprecated(note = "use `run_flow` with a serial `FlowRequest`")]
-pub fn synthesize_candidate_set_serial(
-    spec: &AdcSpec,
-    candidates: &[Candidate],
-    params: &PowerModelParams,
-    cfg: &SynthConfig,
-) -> Vec<MdacBlock> {
-    run_flow(
-        &FlowRequest::new(spec, candidates, params, cfg).serial(),
-        None,
-    )
-    .blocks
-}
-
-/// [`synthesize_candidate_set_serial`] with an optional cache.
-#[deprecated(note = "use `run_flow` with a serial `FlowRequest`")]
-pub fn synthesize_candidate_set_serial_with(
-    spec: &AdcSpec,
-    candidates: &[Candidate],
-    params: &PowerModelParams,
-    cfg: &SynthConfig,
-    cache: Option<&mut BlockCache>,
-) -> SynthesisRun {
-    run_flow(
-        &FlowRequest::new(spec, candidates, params, cfg).serial(),
-        cache,
-    )
-}
-
-/// Serial oracle with explicit fault-tolerance options.
-#[deprecated(note = "use `run_flow` with a serial `FlowRequest`")]
-pub fn synthesize_candidate_set_serial_guarded(
-    spec: &AdcSpec,
-    candidates: &[Candidate],
-    params: &PowerModelParams,
-    cfg: &SynthConfig,
-    cache: Option<&mut BlockCache>,
-    flow: &FlowOptions,
-) -> SynthesisRun {
-    run_flow(
-        &FlowRequest::new(spec, candidates, params, cfg)
-            .serial()
-            .with_options(*flow),
-        cache,
-    )
+/// Former sharded-cache entry point.
+#[deprecated(note = "use `run_flow(req, Some(cache))`")]
+pub fn run_flow_shared(req: &FlowRequest<'_>, cache: &BlockCache) -> SynthesisRun {
+    run_flow(req, Some(cache))
 }
 
 /// Candidates whose every required MDAC block survived a (possibly
@@ -1301,70 +1152,6 @@ pub fn surviving_candidates(
         })
         .cloned()
         .collect()
-}
-
-/// The PR-2 wave-barrier scheduler, retained verbatim as the benchmarking
-/// baseline for the dependency-driven executor (`bench_eval`'s
-/// `multi_res_flow_waves` row): blocks whose warm sources finished run in
-/// scoped-thread waves with a barrier between waves.
-pub fn synthesize_candidate_set_waves(
-    spec: &AdcSpec,
-    candidates: &[Candidate],
-    params: &PowerModelParams,
-    cfg: &SynthConfig,
-) -> Vec<MdacBlock> {
-    let planned = plan_candidate_set(spec, candidates, params);
-    // Wave index: a block runs one wave after its warm source. (`warm` only
-    // ever points at an earlier serial index, so one forward pass settles.)
-    let mut wave = vec![0usize; planned.len()];
-    for i in 0..planned.len() {
-        if let Some(j) = planned[i].warm {
-            wave[i] = wave[j] + 1;
-        }
-    }
-    let max_wave = wave.iter().copied().max().unwrap_or(0);
-    let mut results: Vec<Option<SynthResult>> = vec![None; planned.len()];
-    for w in 0..=max_wave {
-        let batch: Vec<(usize, SynthResult)> = std::thread::scope(|scope| {
-            let handles: Vec<_> = planned
-                .iter()
-                .enumerate()
-                .filter(|(i, _)| wave[*i] == w)
-                .map(|(i, p)| {
-                    let warm = p.warm.map(|j| {
-                        results[j]
-                            .as_ref()
-                            .expect("warm source finished in an earlier wave")
-                    });
-                    scope.spawn(move || (i, synthesize_ota(&spec.process, &p.req, cfg, warm)))
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("MDAC synthesis panicked"))
-                .collect()
-        });
-        for (i, r) in batch {
-            results[i] = Some(r);
-        }
-    }
-    let mut blocks: Vec<MdacBlock> = planned
-        .into_iter()
-        .zip(results)
-        .map(|(p, r)| MdacBlock {
-            key: p.key,
-            requirements: p.req,
-            result: r.expect("every planned block is synthesized"),
-            retargeted: p.warm.is_some(),
-            origin: if p.warm.is_some() {
-                BlockOrigin::Retargeted
-            } else {
-                BlockOrigin::Cold
-            },
-        })
-        .collect();
-    blocks.sort_by_key(|b| b.key);
-    blocks
 }
 
 /// One resolution's worth of a multi-resolution flow.
@@ -1412,7 +1199,7 @@ pub fn synthesize_multi_resolution(
     specs: &[AdcSpec],
     params: &PowerModelParams,
     cfg: &SynthConfig,
-    cache: &mut BlockCache,
+    cache: &BlockCache,
     exec: &ExecutorOptions,
 ) -> Result<Vec<ResolutionRun>, FlowError> {
     specs
@@ -1526,9 +1313,10 @@ mod tests {
         let serial = run_flow(
             &FlowRequest::new(&spec, &cands, &params, &cfg).serial(),
             None,
-        )
-        .blocks;
-        let parallel = run_flow(&FlowRequest::new(&spec, &cands, &params, &cfg), None).blocks;
+        );
+        let parallel = run_flow(&FlowRequest::new(&spec, &cands, &params, &cfg), None);
+        assert_eq!(serial.stats, parallel.stats);
+        let (serial, parallel) = (serial.blocks, parallel.blocks);
         assert_eq!(serial.len(), parallel.len());
         assert!(serial.len() >= 11, "expected the paper's ~11 blocks");
         assert!(serial.iter().any(|b| b.retargeted));
@@ -1547,30 +1335,6 @@ mod tests {
         }
     }
 
-    /// The retained wave-barrier baseline still agrees with the executor
-    /// (same plan, different scheduling) — it exists purely as the
-    /// benchmark baseline.
-    #[test]
-    fn wave_baseline_matches_executor() {
-        let spec = AdcSpec::date05(10);
-        let params = PowerModelParams::calibrated();
-        let cands = enumerate_candidates(10, 7);
-        let cfg = SynthConfig {
-            iterations: 10,
-            nm_iterations: 2,
-            seed: 5,
-            ..Default::default()
-        };
-        let waves = synthesize_candidate_set_waves(&spec, &cands, &params, &cfg);
-        let exec = run_flow(&FlowRequest::new(&spec, &cands, &params, &cfg), None).blocks;
-        assert_eq!(waves.len(), exec.len());
-        for (a, b) in waves.iter().zip(exec.iter()) {
-            assert_eq!(a.key, b.key);
-            assert_eq!(a.result.best_x, b.result.best_x);
-            assert_eq!(a.result.evaluations, b.result.evaluations);
-        }
-    }
-
     /// A reproducible cache warmed by one run answers a repeat of the same
     /// run entirely from provenance-exact hits, bit-identically.
     #[test]
@@ -1584,12 +1348,12 @@ mod tests {
             seed: 7,
             ..Default::default()
         };
-        let mut cache = BlockCache::new(CachePolicy::Reproducible);
+        let cache = BlockCache::new(CachePolicy::Reproducible);
         let req = FlowRequest::new(&spec, &cands, &params, &cfg);
-        let first = run_flow(&req, Some(&mut cache));
+        let first = run_flow(&req, Some(&cache));
         assert_eq!(first.stats.cache_hits, 0);
         assert!(cache.len() >= first.blocks.len());
-        let second = run_flow(&req, Some(&mut cache));
+        let second = run_flow(&req, Some(&cache));
         assert_eq!(
             second.stats.cache_hits, second.stats.blocks,
             "repeat run must be all hits: {:?}",
@@ -1622,14 +1386,14 @@ mod tests {
             iterations: 14,
             ..cfg_a.clone()
         };
-        let mut cache = BlockCache::new(CachePolicy::Aggressive);
+        let cache = BlockCache::new(CachePolicy::Aggressive);
         run_flow(
             &FlowRequest::new(&spec, &cands, &params, &cfg_a),
-            Some(&mut cache),
+            Some(&cache),
         );
         let run_b = run_flow(
             &FlowRequest::new(&spec, &cands, &params, &cfg_b),
-            Some(&mut cache),
+            Some(&cache),
         );
         assert_eq!(run_b.stats.cache_hits, 0, "{:?}", run_b.stats);
         assert_eq!(run_b.stats.cache_seeded, 0, "{:?}", run_b.stats);
@@ -1656,8 +1420,8 @@ mod tests {
             seed: 1,
             ..Default::default()
         };
-        let mut cache = BlockCache::new(CachePolicy::Reproducible);
-        let scheduled = schedule_candidate_set(&spec, &cands, &params, &cfg, Some(&mut cache));
+        let cache = BlockCache::new(CachePolicy::Reproducible);
+        let scheduled = schedule_candidate_set(&spec, &cands, &params, &cfg, Some(&cache));
         let n = scheduled.len();
         assert!(n > 0);
         // Every block fails → no survivors, no cache entries, full report.
@@ -1670,7 +1434,7 @@ mod tests {
                 ))
             })
             .collect();
-        let run = finish_run(scheduled, outcomes, Some(&mut cache), None);
+        let run = finish_run(scheduled, outcomes, Some(&cache), None);
         assert!(run.blocks.is_empty());
         assert_eq!(run.failures.len(), n);
         assert_eq!(run.stats.failed, n);
@@ -1679,7 +1443,7 @@ mod tests {
         assert!(run.into_result().is_err());
         // Every block "recovers" off-plan → ranked survivors, still no
         // cache commits (the planned provenance no longer attests them).
-        let scheduled = schedule_candidate_set(&spec, &cands, &params, &cfg, Some(&mut cache));
+        let scheduled = schedule_candidate_set(&spec, &cands, &params, &cfg, Some(&cache));
         let fake = SynthResult {
             best_x: vec![1.0],
             best_u: vec![0.5],
@@ -1699,7 +1463,7 @@ mod tests {
                 })
             })
             .collect();
-        let run = finish_run(scheduled, outcomes, Some(&mut cache), None);
+        let run = finish_run(scheduled, outcomes, Some(&cache), None);
         assert_eq!(run.blocks.len(), n);
         assert_eq!(run.stats.recovered, n);
         assert_eq!(run.stats.attempts, 2 * n);
@@ -1707,75 +1471,10 @@ mod tests {
         assert_eq!(surviving_candidates(&spec, &cands, &run).len(), cands.len());
     }
 
-    /// The six deprecated entry points are thin wrappers over [`run_flow`]:
-    /// every one of them must stay bit-identical to the equivalent
-    /// [`FlowRequest`] — trajectories, origins, stats and all.
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_wrappers_are_bit_identical_to_run_flow() {
-        let spec = AdcSpec::date05(10);
-        let params = PowerModelParams::calibrated();
-        let cands = enumerate_candidates(10, 7);
-        let cfg = SynthConfig {
-            iterations: 8,
-            nm_iterations: 2,
-            seed: 13,
-            ..Default::default()
-        };
-        let exec = ExecutorOptions::default();
-        let flow = FlowOptions::default();
-        let assert_same = |a: &[MdacBlock], b: &[MdacBlock], label: &str| {
-            assert_eq!(a.len(), b.len(), "{label}");
-            for (x, y) in a.iter().zip(b.iter()) {
-                assert_eq!(x.key, y.key, "{label}");
-                assert_eq!(x.origin, y.origin, "{label}: key {:?}", x.key);
-                assert_eq!(x.result.best_x, y.result.best_x, "{label}: key {:?}", x.key);
-                assert_eq!(
-                    x.result.evaluations, y.result.evaluations,
-                    "{label}: key {:?}",
-                    x.key
-                );
-            }
-        };
-        let base = run_flow(&FlowRequest::new(&spec, &cands, &params, &cfg), None);
-        let base_serial = run_flow(
-            &FlowRequest::new(&spec, &cands, &params, &cfg).serial(),
-            None,
-        );
-
-        let w = synthesize_candidate_set(&spec, &cands, &params, &cfg);
-        assert_same(&w, &base.blocks, "synthesize_candidate_set");
-        let w = synthesize_candidate_set_with(&spec, &cands, &params, &cfg, None, &exec);
-        assert_same(&w.blocks, &base.blocks, "synthesize_candidate_set_with");
-        assert_eq!(w.stats, base.stats);
-        let w = synthesize_candidate_set_guarded(&spec, &cands, &params, &cfg, None, &exec, &flow);
-        assert_same(&w.blocks, &base.blocks, "synthesize_candidate_set_guarded");
-        assert_eq!(w.stats, base.stats);
-        let w = synthesize_candidate_set_serial(&spec, &cands, &params, &cfg);
-        assert_same(&w, &base_serial.blocks, "synthesize_candidate_set_serial");
-        let w = synthesize_candidate_set_serial_with(&spec, &cands, &params, &cfg, None);
-        assert_same(
-            &w.blocks,
-            &base_serial.blocks,
-            "synthesize_candidate_set_serial_with",
-        );
-        assert_eq!(w.stats, base_serial.stats);
-        let w = synthesize_candidate_set_serial_guarded(&spec, &cands, &params, &cfg, None, &flow);
-        assert_same(
-            &w.blocks,
-            &base_serial.blocks,
-            "synthesize_candidate_set_serial_guarded",
-        );
-        assert_eq!(w.stats, base_serial.stats);
-        // The serial oracle agrees with the parallel path (long-standing
-        // contract, restated here across the consolidated entry).
-        assert_same(&base.blocks, &base_serial.blocks, "parallel vs serial");
-    }
-
-    /// [`run_flow_shared`] (per-shard-locked schedule/commit, the server
-    /// path) is bit-identical to [`run_flow`] with exclusive cache access
-    /// — for **every** shard count — and a second shared run replays from
-    /// provenance-exact hits regardless of how the entries are sharded.
+    /// A sharded cache (per-shard-locked schedule/commit, the server
+    /// shape) runs bit-identically to a one-shard cache — for **every**
+    /// shard count — and a second run replays from provenance-exact hits
+    /// regardless of how the entries are sharded.
     #[test]
     fn shared_cache_flow_matches_exclusive() {
         let spec = AdcSpec::date05(10);
@@ -1788,11 +1487,11 @@ mod tests {
             ..Default::default()
         };
         let req = FlowRequest::new(&spec, &cands, &params, &cfg);
-        let mut exclusive_cache = BlockCache::new(CachePolicy::Reproducible);
-        let exclusive = run_flow(&req, Some(&mut exclusive_cache));
+        let exclusive_cache = BlockCache::new(CachePolicy::Reproducible);
+        let exclusive = run_flow(&req, Some(&exclusive_cache));
         for shards in [1, 3, 8] {
-            let shared_cache = SharedCache::new(CachePolicy::Reproducible, shards);
-            let shared = run_flow_shared(&req, &shared_cache);
+            let shared_cache = BlockCache::with_shards(CachePolicy::Reproducible, shards);
+            let shared = run_flow(&req, Some(&shared_cache));
             assert_eq!(exclusive.stats, shared.stats, "{shards} shards");
             for (a, b) in exclusive.blocks.iter().zip(shared.blocks.iter()) {
                 assert_eq!(a.key, b.key, "{shards} shards");
@@ -1802,7 +1501,7 @@ mod tests {
                     "{shards} shards"
                 );
             }
-            let replay = run_flow_shared(&req, &shared_cache);
+            let replay = run_flow(&req, Some(&shared_cache));
             assert_eq!(
                 replay.stats.cache_hits, replay.stats.blocks,
                 "{shards} shards"
@@ -1814,6 +1513,78 @@ mod tests {
             assert_eq!(merged.lookups, 2 * replay.stats.blocks);
             assert_eq!(merged.hits, replay.stats.blocks);
             assert_eq!(merged.insertions, shared_cache.len());
+        }
+    }
+
+    /// Near-hit seeding through the shard merge: a 10→13-bit Aggressive
+    /// sweep yields the same blocks, run statistics, merged cache
+    /// statistics and snapshot entry sequence with a one-shard cache and
+    /// at 1, 3 and 8 shards.
+    #[test]
+    fn aggressive_sweep_is_shard_count_invariant() {
+        let params = PowerModelParams::calibrated();
+        let cfg = SynthConfig {
+            iterations: 6,
+            nm_iterations: 2,
+            seed: 19,
+            ..Default::default()
+        };
+        let specs: Vec<AdcSpec> = (10..=13).map(AdcSpec::date05).collect();
+        let sweep = |run: &mut dyn FnMut(&FlowRequest<'_>) -> SynthesisRun| -> Vec<SynthesisRun> {
+            specs
+                .iter()
+                .map(|spec| {
+                    let cands = enumerate_candidates(spec.resolution, 7);
+                    run(&FlowRequest::new(spec, &cands, &params, &cfg))
+                })
+                .collect()
+        };
+        let entry_keys = |entries: Vec<crate::cache::SnapshotEntry>| -> Vec<_> {
+            entries
+                .into_iter()
+                .map(|e| {
+                    (
+                        e.spec_fp,
+                        e.entry.key,
+                        e.entry.provenance,
+                        e.integrity,
+                        e.entry.result.best_x,
+                    )
+                })
+                .collect()
+        };
+        let exclusive_cache = BlockCache::new(CachePolicy::Aggressive);
+        let reference = sweep(&mut |req| run_flow(req, Some(&exclusive_cache)));
+        assert!(
+            exclusive_cache.stats().near_seeds > 0,
+            "the sweep must exercise near-hit seeding: {:?}",
+            exclusive_cache.stats()
+        );
+        let reference_entries = entry_keys(exclusive_cache.export_entries());
+        for shards in [1, 3, 8] {
+            let cache = BlockCache::with_shards(CachePolicy::Aggressive, shards);
+            let runs = sweep(&mut |req| run_flow(req, Some(&cache)));
+            for (k, (a, b)) in specs.iter().zip(reference.iter().zip(&runs)) {
+                let label = format!("{} bits, {shards} shards", k.resolution);
+                assert_eq!(a.stats, b.stats, "{label}");
+                assert_eq!(a.blocks.len(), b.blocks.len(), "{label}");
+                for (x, y) in a.blocks.iter().zip(&b.blocks) {
+                    assert_eq!(x.key, y.key, "{label}");
+                    assert_eq!(x.origin, y.origin, "{label}: key {:?}", x.key);
+                    assert_eq!(x.result.best_x, y.result.best_x, "{label}: key {:?}", x.key);
+                    assert_eq!(
+                        x.result.evaluations, y.result.evaluations,
+                        "{label}: key {:?}",
+                        x.key
+                    );
+                }
+            }
+            assert_eq!(exclusive_cache.stats(), cache.stats(), "{shards} shards");
+            assert_eq!(
+                reference_entries,
+                entry_keys(cache.export_entries()),
+                "{shards} shards"
+            );
         }
     }
 

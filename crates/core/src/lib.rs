@@ -49,13 +49,12 @@ pub mod rules;
 pub mod verify;
 pub mod wire;
 
-pub use cache::{BlockCache, CachePolicy, CacheStats, SharedCache, SnapshotEntry};
+pub use cache::{BlockCache, CachePolicy, CacheStats, SnapshotEntry};
 pub use enumerate::{enumerate_candidates, Candidate};
 pub use executor::{BlockFailure, BlockOutcome, ExecutorOptions, FailureKind};
 pub use flow::{
-    run_flow, run_flow_shared, surviving_candidates, synthesize_multi_resolution, BlockCasualty,
-    ExecutionMode, FlowError, FlowOptions, FlowRequest, ResolutionRun, RetryPolicy, RunStats,
-    SynthesisRun,
+    run_flow, surviving_candidates, synthesize_multi_resolution, BlockCasualty, ExecutionMode,
+    FlowError, FlowOptions, FlowRequest, ResolutionRun, RetryPolicy, RunStats, SynthesisRun,
 };
 pub use optimize::{optimize_topology, TopologyReport};
 pub use verify::{verify_candidate, ChainVerification, VerifyOptions};

@@ -2,7 +2,6 @@
 //! total power (the data behind Fig. 1 and Fig. 2) and pick the minimum.
 
 use crate::enumerate::{enumerate_candidates, Candidate};
-use crate::executor::{run_parallel, ExecutorOptions};
 use adc_mdac::power::{design_chain, PowerModelParams, StageDesign};
 use adc_mdac::specs::AdcSpec;
 
@@ -80,27 +79,6 @@ pub fn optimize_topology(spec: &AdcSpec, params: &PowerModelParams) -> TopologyR
         .into_iter()
         .map(|candidate| evaluate_candidate(spec, params, candidate))
         .collect();
-    rows.sort_by(|a, b| {
-        a.total_power
-            .partial_cmp(&b.total_power)
-            .expect("finite powers")
-    });
-    TopologyReport {
-        spec: spec.clone(),
-        rows,
-    }
-}
-
-/// Parallel variant of [`optimize_topology`]: candidates are independent,
-/// so they evaluate as a dependency-free DAG on the block executor
-/// (useful when the designer model is swapped for an expensive
-/// circuit-backed evaluation).
-pub fn optimize_topology_parallel(spec: &AdcSpec, params: &PowerModelParams) -> TopologyReport {
-    let candidates = enumerate_candidates(spec.resolution, 7);
-    let mut rows: Vec<CandidateRow> =
-        run_parallel(candidates.len(), &ExecutorOptions::default(), |i: usize| {
-            evaluate_candidate(spec, params, candidates[i].clone())
-        });
     rows.sort_by(|a, b| {
         a.total_power
             .partial_cmp(&b.total_power)
@@ -202,21 +180,6 @@ mod tests {
             let r = optimize_topology(&AdcSpec::date05(k), &p);
             assert!(r.best().total_power > last);
             last = r.best().total_power;
-        }
-    }
-
-    #[test]
-    fn parallel_matches_sequential() {
-        let p = params();
-        for k in [10u32, 13] {
-            let spec = AdcSpec::date05(k);
-            let a = optimize_topology(&spec, &p);
-            let b = optimize_topology_parallel(&spec, &p);
-            assert_eq!(a.rows.len(), b.rows.len());
-            for (ra, rb) in a.rows.iter().zip(b.rows.iter()) {
-                assert_eq!(ra.candidate, rb.candidate);
-                assert_eq!(ra.total_power, rb.total_power);
-            }
         }
     }
 

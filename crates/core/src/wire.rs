@@ -15,7 +15,7 @@
 //!   `power: NaN` blocks representable;
 //! - durations ride as fractional milliseconds (`*_ms` keys).
 
-use crate::cache::{CacheEntry, SharedCache, SnapshotEntry};
+use crate::cache::{BlockCache, CacheEntry, SnapshotEntry};
 use crate::flow::{
     FlowOptions, OtaRequirements, ResolutionRun, RetryPolicy, RunStats, TemplateKind,
 };
@@ -933,12 +933,12 @@ pub struct SnapshotLoad {
     pub dropped: usize,
 }
 
-/// Renders the full content of a [`SharedCache`] as a versioned snapshot
+/// Renders the full content of a [`BlockCache`] as a versioned snapshot
 /// document. Entry order is shard-count-invariant (see
-/// [`SharedCache::export_entries`]) and the renderer is
+/// [`BlockCache::export_entries`]) and the renderer is
 /// byte-deterministic, so equal cache contents produce byte-identical
 /// snapshots.
-pub fn cache_snapshot_to_json(cache: &SharedCache) -> JsonValue {
+pub fn cache_snapshot_to_json(cache: &BlockCache) -> JsonValue {
     let entries = cache
         .export_entries()
         .iter()
@@ -964,7 +964,7 @@ pub fn cache_snapshot_to_json(cache: &SharedCache) -> JsonValue {
 /// content fingerprint is dropped and counted by the cache itself. The
 /// server boots cold in the worst case — it never crashes on, and never
 /// serves, a corrupt entry.
-pub fn cache_snapshot_restore(cache: &SharedCache, doc: &JsonValue) -> SnapshotLoad {
+pub fn cache_snapshot_restore(cache: &BlockCache, doc: &JsonValue) -> SnapshotLoad {
     let mut load = SnapshotLoad::default();
     let entries = match doc.get("entries") {
         Some(JsonValue::Arr(items)) => items.as_slice(),
@@ -1154,7 +1154,7 @@ mod tests {
     #[test]
     fn cache_snapshot_round_trips_at_any_shard_count() {
         use crate::cache::CachePolicy;
-        use crate::flow::{run_flow_shared, FlowRequest};
+        use crate::flow::{run_flow, FlowRequest};
         use adc_mdac::power::PowerModelParams;
         use adc_synth::SynthConfig;
 
@@ -1170,9 +1170,9 @@ mod tests {
 
         let mut renders = Vec::new();
         for shards in [1usize, 8] {
-            let cache = SharedCache::new(CachePolicy::Reproducible, shards);
+            let cache = BlockCache::with_shards(CachePolicy::Reproducible, shards);
             let req = FlowRequest::new(&spec, &candidates, &params, &cfg);
-            let _ = run_flow_shared(&req, &cache);
+            let _ = run_flow(&req, Some(&cache));
             assert!(!cache.is_empty());
             renders.push((cache.len(), cache_snapshot_to_json(&cache).render()));
         }
@@ -1181,7 +1181,7 @@ mod tests {
             "snapshot bytes must be shard-count-invariant"
         );
 
-        let restored = SharedCache::new(CachePolicy::Reproducible, 3);
+        let restored = BlockCache::with_shards(CachePolicy::Reproducible, 3);
         let doc = JsonValue::parse(&renders[0].1).unwrap();
         let load = cache_snapshot_restore(&restored, &doc);
         assert_eq!(load.loaded, renders[0].0);
@@ -1195,7 +1195,7 @@ mod tests {
         );
 
         let stale = renders[0].1.replace("\"version\":1", "\"version\":2");
-        let victim = SharedCache::new(CachePolicy::Reproducible, 2);
+        let victim = BlockCache::with_shards(CachePolicy::Reproducible, 2);
         let load = cache_snapshot_restore(&victim, &JsonValue::parse(&stale).unwrap());
         assert_eq!(load.loaded, 0);
         assert_eq!(load.dropped, renders[0].0);

@@ -12,8 +12,8 @@
 //! - [`server`] — from-scratch HTTP/1.1 over `std::net` (the workspace is
 //!   registry-free: no axum/tokio/hyper), an accept loop serving
 //!   **keep-alive** connections, a bounded worker pool sharing the
-//!   **sharded** [`SharedCache`](adc_topopt::cache::SharedCache) through
-//!   [`run_flow_shared`](adc_topopt::flow::run_flow_shared) (placement by
+//!   **sharded** [`BlockCache`](adc_topopt::cache::BlockCache) through
+//!   [`run_flow`](adc_topopt::flow::run_flow) (placement by
 //!   block fingerprint: a lookup or commit locks one shard, never the
 //!   whole cache), typed admission control (429 + `Retry-After` past the
 //!   in-flight cap), and snapshot persistence (integrity-checked restore

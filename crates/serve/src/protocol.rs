@@ -20,11 +20,11 @@
 use adc_mdac::power::PowerModelParams;
 use adc_mdac::specs::AdcSpec;
 use adc_synth::SynthConfig;
-use adc_topopt::cache::SharedCache;
+use adc_topopt::cache::BlockCache;
 use adc_topopt::enumerate::{enumerate_candidates, Candidate};
 use adc_topopt::executor::FailureKind;
 use adc_topopt::flow::{
-    run_flow_shared, surviving_candidates, FlowOptions, FlowRequest, ResolutionRun, SynthesisRun,
+    run_flow, surviving_candidates, FlowOptions, FlowRequest, ResolutionRun, SynthesisRun,
 };
 use adc_topopt::optimize::optimize_topology;
 use adc_topopt::report::run_health_table;
@@ -338,19 +338,19 @@ impl ResultMemo {
     }
 }
 
-/// Runs one request against the sharded shared cache and renders its
+/// Runs one request against the shared block cache and renders its
 /// payload — the exact code path of a server worker, callable with a
 /// fresh cache as the batch oracle.
 pub fn run_and_render(
     req: &SubmitRequest,
-    cache: &SharedCache,
+    cache: &BlockCache,
     verify: bool,
 ) -> (SynthesisRun, String) {
     let params = PowerModelParams::calibrated();
     let candidates = enumerate_candidates(req.spec.resolution, BACKEND_BITS);
     let flow_req =
         FlowRequest::new(&req.spec, &candidates, &params, &req.cfg).with_options(req.options);
-    let run = run_flow_shared(&flow_req, cache);
+    let run = run_flow(&flow_req, Some(cache));
     let payload = render_payload(req, &candidates, &run, verify);
     (run, payload)
 }
@@ -361,7 +361,7 @@ pub fn run_and_render(
 /// re-verifying, and re-rendering it.
 pub fn run_and_render_memo(
     req: &SubmitRequest,
-    cache: &SharedCache,
+    cache: &BlockCache,
     verify: bool,
     memo: &ResultMemo,
 ) -> (SynthesisRun, String) {
@@ -371,7 +371,7 @@ pub fn run_and_render_memo(
     let candidates = enumerate_candidates(req.spec.resolution, BACKEND_BITS);
     let flow_req =
         FlowRequest::new(&req.spec, &candidates, &params, &req.cfg).with_options(req.options);
-    let run = run_flow_shared(&flow_req, cache);
+    let run = run_flow(&flow_req, Some(cache));
     // Memoization is sound only where determinism is a contract: the
     // Reproducible policy, and a run the fault ladder never touched.
     let clean = cache.policy() == CachePolicy::Reproducible
@@ -397,7 +397,6 @@ pub fn run_and_render_memo(
 mod tests {
     use super::*;
     use adc_topopt::cache::CachePolicy;
-    use adc_topopt::flow::run_flow;
 
     fn tiny_request(resolution: u32) -> SubmitRequest {
         SubmitRequest {
@@ -462,7 +461,7 @@ mod tests {
         let oracle_doc = JsonValue::parse(&oracle).unwrap();
 
         for shards in [1, 4, 8] {
-            let cache = SharedCache::new(CachePolicy::Reproducible, shards);
+            let cache = BlockCache::with_shards(CachePolicy::Reproducible, shards);
             let (_, served) = run_and_render(&req, &cache, false);
             let served_doc = JsonValue::parse(&served).unwrap();
             assert_eq!(

@@ -1,5 +1,5 @@
 //! The resident flow server: accept loop, bounded worker pool, one
-//! persistent **sharded** [`SharedCache`], admission control, snapshot
+//! persistent **sharded** [`BlockCache`], admission control, snapshot
 //! persistence, and the REST-ish routing over [`crate::http`].
 //!
 //! ## Endpoints
@@ -20,7 +20,7 @@
 //! [`IDLE_READ_TIMEOUT`] of silence. Worker threads block on a condvar'd
 //! queue of admitted `run_id`s; each claims a run (`Ready → Running`),
 //! executes it against the shared cache via
-//! [`run_flow_shared`](adc_topopt::flow::run_flow_shared) — the cache is
+//! [`run_flow`](adc_topopt::flow::run_flow) — the cache is
 //! sharded by block fingerprint, so a lookup or commit locks one shard
 //! only, never across synthesis and never the whole cache. Connection
 //! threads touch the store's own lock only, so polling and fetching never
@@ -40,7 +40,7 @@ use crate::http::{read_request, write_response, Request};
 use crate::protocol::{self, SubmitRequest};
 use crate::session::{Session, SessionState};
 use crate::store::{ResultStore, RunRecord, StoreError};
-use adc_topopt::cache::{CachePolicy, CacheStats, SharedCache, DEFAULT_SHARDS};
+use adc_topopt::cache::{BlockCache, CachePolicy, CacheStats, DEFAULT_SHARDS};
 use adc_topopt::wire::{cache_snapshot_restore, cache_snapshot_to_json, JsonValue};
 use std::collections::VecDeque;
 use std::io::{self, BufReader};
@@ -75,10 +75,6 @@ pub struct ServerConfig {
     /// Shared-cache policy. [`CachePolicy::Reproducible`] keeps every
     /// served result bit-identical to a batch run of the same request.
     pub cache_policy: CachePolicy,
-    /// Shard count of the shared cache (clamped to at least 1). Placement
-    /// is by block fingerprint, so behaviour is identical at any count;
-    /// more shards only reduce lock contention.
-    pub cache_shards: usize,
     /// Attach the chain-verification report (small-signal leg) of the
     /// best surviving candidate to each payload.
     pub verify: bool,
@@ -98,7 +94,6 @@ impl Default for ServerConfig {
             max_inflight: 8,
             capacity: 64,
             cache_policy: CachePolicy::Reproducible,
-            cache_shards: DEFAULT_SHARDS,
             verify: false,
             snapshot: None,
             snapshot_every: None,
@@ -108,7 +103,7 @@ impl Default for ServerConfig {
 
 struct Shared {
     config: ServerConfig,
-    cache: SharedCache,
+    cache: BlockCache,
     /// Deterministic `result`-subtree memo (see [`protocol::ResultMemo`]):
     /// warm resubmissions skip ranking/verification/rendering.
     memo: protocol::ResultMemo,
@@ -147,7 +142,7 @@ impl FlowServer {
         let listener = TcpListener::bind(&config.addr)?;
         let addr = listener.local_addr()?;
         let shared = Arc::new(Shared {
-            cache: SharedCache::new(config.cache_policy, config.cache_shards),
+            cache: BlockCache::with_shards(config.cache_policy, DEFAULT_SHARDS),
             memo: protocol::ResultMemo::new(),
             store: ResultStore::new(config.capacity),
             queue: Mutex::new(VecDeque::new()),
@@ -261,7 +256,7 @@ fn load_snapshot(shared: &Shared) {
 /// Runs the snapshot restore inside the `snapshot_load` fault scope so
 /// chaos plans can target exactly this site
 /// (`FaultRule::first(SITE_CACHE_COMMIT, "snapshot_load", Corrupt)`).
-fn restore_scoped(cache: &SharedCache, doc: &JsonValue) {
+fn restore_scoped(cache: &BlockCache, doc: &JsonValue) {
     #[cfg(feature = "faults")]
     {
         adc_numerics::faults::with_scope("snapshot_load", || {

@@ -49,10 +49,10 @@ fn main() {
         seed: 3,
         ..Default::default()
     };
-    let mut cache = BlockCache::new(CachePolicy::Aggressive);
+    let cache = BlockCache::new(CachePolicy::Aggressive);
     let run = run_flow(
         &FlowRequest::new(&spec, &leading, &params, &cfg),
-        Some(&mut cache),
+        Some(&cache),
     );
     println!(
         "scheduled {} blocks: {} cold, {} retargeted, {} cache-seeded, {} cache hits ({} evaluations)",

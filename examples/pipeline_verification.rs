@@ -34,11 +34,11 @@ fn main() {
         seed: 11,
         ..Default::default()
     };
-    let mut cache = BlockCache::new(CachePolicy::Aggressive);
+    let cache = BlockCache::new(CachePolicy::Aggressive);
     let winner_set = std::slice::from_ref(&winner);
     let run = run_flow(
         &FlowRequest::new(&spec, winner_set, &params, &cfg),
-        Some(&mut cache),
+        Some(&cache),
     );
     for b in &run.blocks {
         println!(

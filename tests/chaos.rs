@@ -205,7 +205,7 @@ fn corrupted_cache_commit_is_rejected_on_replay() {
     let cands = enumerate_candidates(10, 7);
     let exec = ExecutorOptions::default();
     let flow = FlowOptions::default();
-    let mut cache = BlockCache::new(CachePolicy::Reproducible);
+    let cache = BlockCache::new(CachePolicy::Reproducible);
     faults::install(FaultPlan::single(
         5,
         FaultRule::anywhere(SITE_CACHE_COMMIT, FaultAction::Corrupt),
@@ -214,7 +214,7 @@ fn corrupted_cache_commit_is_rejected_on_replay() {
         &FlowRequest::new(&spec, &cands, &params, &cfg())
             .with_executor(exec.clone())
             .with_options(flow),
-        Some(&mut cache),
+        Some(&cache),
     );
     faults::clear();
     assert!(first.failures.is_empty());
@@ -222,7 +222,7 @@ fn corrupted_cache_commit_is_rejected_on_replay() {
         &FlowRequest::new(&spec, &cands, &params, &cfg())
             .with_executor(exec.clone())
             .with_options(flow),
-        Some(&mut cache),
+        Some(&cache),
     );
     assert_eq!(cache.stats().corrupt_dropped, 1, "{:?}", cache.stats());
     assert_eq!(
@@ -256,7 +256,7 @@ fn reproducible_replay_after_recovered_failure_matches_cache_cold() {
         );
         probe.blocks[0].key
     };
-    let mut cache = BlockCache::new(CachePolicy::Reproducible);
+    let cache = BlockCache::new(CachePolicy::Reproducible);
     faults::install(FaultPlan::single(
         6,
         FaultRule::first(
@@ -269,7 +269,7 @@ fn reproducible_replay_after_recovered_failure_matches_cache_cold() {
         &FlowRequest::new(&spec, &cands, &params, &cfg())
             .with_executor(exec.clone())
             .with_options(flow),
-        Some(&mut cache),
+        Some(&cache),
     );
     faults::clear();
     assert_eq!(faulted.stats.recovered, 1, "{:?}", faulted.stats);
@@ -280,7 +280,7 @@ fn reproducible_replay_after_recovered_failure_matches_cache_cold() {
         &FlowRequest::new(&spec, &cands, &params, &cfg())
             .with_executor(exec.clone())
             .with_options(flow),
-        Some(&mut cache),
+        Some(&cache),
     );
     let cold = run_flow(
         &FlowRequest::new(&spec, &cands, &params, &cfg())

@@ -63,13 +63,12 @@ fn assert_blocks_bit_identical(label: &str, a: &[MdacBlock], b: &[MdacBlock]) {
 /// Runs the two-resolution flow with an optional shared cache and the given
 /// executor; returns per-resolution blocks and hit counts.
 fn run_resolution_pair(
-    cache: Option<&mut BlockCache>,
+    cache: Option<&BlockCache>,
     exec: &ExecutorOptions,
     serial: bool,
 ) -> Vec<(Vec<MdacBlock>, usize)> {
     let params = PowerModelParams::calibrated();
     let config = cfg();
-    let mut cache = cache;
     RESOLUTIONS
         .iter()
         .map(|&k| {
@@ -80,7 +79,7 @@ fn run_resolution_pair(
             } else {
                 FlowRequest::new(&spec, &cands, &params, &config).with_executor(exec.clone())
             };
-            let run = run_flow(&req, cache.as_deref_mut());
+            let run = run_flow(&req, cache);
             (run.blocks, run.stats.cache_hits)
         })
         .collect()
@@ -97,11 +96,11 @@ fn cached_cache_cold_and_serial_oracle_are_bit_identical() {
     // Cache-cold baseline (no cache at all).
     let cold = run_resolution_pair(None, &exec, false);
     // Reproducible cache shared across both resolutions, parallel executor.
-    let mut cache = BlockCache::new(CachePolicy::Reproducible);
-    let cached = run_resolution_pair(Some(&mut cache), &exec, false);
+    let cache = BlockCache::new(CachePolicy::Reproducible);
+    let cached = run_resolution_pair(Some(&cache), &exec, false);
     // Serial oracle with its own cache.
-    let mut oracle_cache = BlockCache::new(CachePolicy::Reproducible);
-    let oracle = run_resolution_pair(Some(&mut oracle_cache), &exec, true);
+    let oracle_cache = BlockCache::new(CachePolicy::Reproducible);
+    let oracle = run_resolution_pair(Some(&oracle_cache), &exec, true);
 
     for ((k, (a, _)), ((b, b_hits), (c, _))) in RESOLUTIONS
         .iter()
@@ -128,13 +127,13 @@ fn cached_cache_cold_and_serial_oracle_are_bit_identical() {
 #[test]
 fn aggressive_cache_is_deterministic_and_reuses_more() {
     let exec = ExecutorOptions::default();
-    let mut repro = BlockCache::new(CachePolicy::Reproducible);
-    let repro_runs = run_resolution_pair(Some(&mut repro), &exec, false);
+    let repro = BlockCache::new(CachePolicy::Reproducible);
+    let repro_runs = run_resolution_pair(Some(&repro), &exec, false);
 
-    let mut parallel_cache = BlockCache::new(CachePolicy::Aggressive);
-    let parallel = run_resolution_pair(Some(&mut parallel_cache), &exec, false);
-    let mut serial_cache = BlockCache::new(CachePolicy::Aggressive);
-    let serial = run_resolution_pair(Some(&mut serial_cache), &exec, true);
+    let parallel_cache = BlockCache::new(CachePolicy::Aggressive);
+    let parallel = run_resolution_pair(Some(&parallel_cache), &exec, false);
+    let serial_cache = BlockCache::new(CachePolicy::Aggressive);
+    let serial = run_resolution_pair(Some(&serial_cache), &exec, true);
 
     for (k, ((a, a_hits), (b, b_hits))) in
         RESOLUTIONS.iter().zip(parallel.iter().zip(serial.iter()))
