@@ -1,13 +1,14 @@
 //! Micro-benchmarks of the substrates the flow leans on: the DC Newton
-//! solve, the DPI/SFG + Mason symbolic analysis, numeric TF extraction,
-//! the sparse symbolic LU analysis of a full chain and the FFT-based
-//! converter metrics.
+//! solve, the DPI/SFG + Mason symbolic analysis, numeric TF extraction
+//! and its root finding, the sparse symbolic LU analysis of a full chain
+//! and the FFT-based converter metrics.
 
 use adc_behav::metrics::sine_test;
 use adc_behav::pipeline::PipelineAdc;
 use adc_mdac::opamp::{build_telescopic, TelescopicParams, TwoStageParams};
 use adc_mdac::power::{design_chain, PowerModelParams};
 use adc_mdac::specs::AdcSpec;
+use adc_numerics::roots::poly_roots;
 use adc_numerics::sparse::{CsrPattern, Symbolic};
 use adc_sfg::dpi::DpiSfg;
 use adc_sfg::nettf::{extract_tf, NetTfOptions};
@@ -83,6 +84,15 @@ fn bench(c: &mut Criterion) {
     c.bench_function("nettf_extraction_telescopic", |b| {
         b.iter(|| {
             black_box(extract_tf(&tb.circuit, &op, tb.output, &NetTfOptions::default()).unwrap())
+        })
+    });
+    // Aberth on the extracted numerator and denominator: the root finding
+    // behind every hybrid evaluation's pole-zero cancellation.
+    let tf = extract_tf(&tb.circuit, &op, tb.output, &NetTfOptions::default()).unwrap();
+    c.bench_function("poly_roots_ota_tf", |b| {
+        b.iter(|| {
+            black_box(poly_roots(black_box(tf.num().coeffs())));
+            black_box(poly_roots(black_box(tf.den().coeffs())))
         })
     });
 

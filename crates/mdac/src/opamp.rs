@@ -605,6 +605,58 @@ mod tests {
         assert!(a_low > 1000.0, "A0 = {a_low}");
     }
 
+    /// The `Tf` root-cache contract on both OTAs' extracted transfer
+    /// functions: `cancel_common_roots` caches the surviving roots it
+    /// rebuilt `num`/`den` from, and they agree with a fresh root finding
+    /// of those polynomials to 1e-9 relative.
+    #[test]
+    fn cancelled_tf_caches_its_survivors() {
+        use adc_numerics::complex::Complex;
+        use adc_numerics::poly::Poly;
+        use adc_sfg::tf::Tf;
+        let bits = |r: &[Complex]| -> Vec<(u64, u64)> {
+            r.iter().map(|z| (z.re.to_bits(), z.im.to_bits())).collect()
+        };
+        // `sub` is a sub-multiset of `all`, bit for bit; returns how many
+        // of `all` were dropped.
+        let dropped = |all: &[Complex], sub: &[Complex]| -> usize {
+            let mut left = bits(all);
+            for b in bits(sub) {
+                let k = left
+                    .iter()
+                    .position(|&a| a == b)
+                    .expect("survivor not a root");
+                left.swap_remove(k);
+            }
+            left.len()
+        };
+        let close = |a: f64, b: f64| (a - b).abs() <= 1e-9 * b.abs().max(1.0);
+        let proc = Process::c025();
+        for tb in [
+            build_telescopic(&proc, &TelescopicParams::nominal(), 1e-12),
+            build_two_stage(&proc, &TwoStageParams::nominal(), 2e-12),
+        ] {
+            let op = dc_operating_point(&tb.circuit, &DcOptions::default()).unwrap();
+            let raw = extract_tf(&tb.circuit, &op, tb.output, &NetTfOptions::default()).unwrap();
+            let tf = raw.cancel_common_roots(1e-5);
+            let (zeros, poles) = (tf.zeros(), tf.poles());
+            assert_eq!(dropped(&raw.zeros(), &zeros), dropped(&raw.poles(), &poles));
+            let num = Poly::from_complex_roots(&zeros).scale(raw.num().leading());
+            let den = Poly::from_complex_roots(&poles).scale(raw.den().leading());
+            assert_eq!(num, *tf.num());
+            assert_eq!(den, *tf.den());
+            let fresh = Tf::new(num, den);
+            for f in adc_numerics::interp::logspace(1e3, 1e10, 15) {
+                let (a, b) = (tf.phase_exact_deg(f), fresh.phase_exact_deg(f));
+                assert!(close(a, b), "phase at {f} Hz: {a} vs {b}");
+            }
+            match (tf.settling_time(1e-3), fresh.settling_time(1e-3)) {
+                (Some(a), Some(b)) => assert!(close(a, b), "settling {a} vs {b}"),
+                (a, b) => assert_eq!(a.is_some(), b.is_some()),
+            }
+        }
+    }
+
     #[test]
     fn miller_cap_splits_poles() {
         let proc = Process::c025();

@@ -1,12 +1,14 @@
 //! Polynomial root finding.
 //!
 //! The primary entry point is [`poly_roots`], an Aberth–Ehrlich simultaneous
-//! iteration with a Cauchy-bound initial circle. Degrees 1 and 2 are solved
-//! in closed form (with the numerically stable quadratic formula); the
-//! iteration is used from degree 3 upward. Transfer functions arising from
-//! the DPI/SFG analysis have modest degree (≤ ~10) but widely spread root
-//! magnitudes (circuit poles span MHz–GHz), so the implementation scales
-//! coefficients and polishes results with a few Newton steps.
+//! iteration started from the Newton polygon of the coefficients (Bini
+//! 1996). Degrees 1 and 2 are solved in closed form (with the numerically
+//! stable quadratic formula); the iteration is used from degree 3 upward.
+//! Transfer functions arising from the DPI/SFG analysis have modest degree
+//! (≤ ~10) but widely spread root magnitudes (circuit poles span
+//! 10⁴–10¹⁰ rad/s). The Newton polygon places one circle of starts per
+//! magnitude cluster, so each root begins near its own magnitude; results
+//! are polished with a few Newton steps.
 
 use crate::complex::Complex;
 
@@ -62,7 +64,7 @@ fn roots_nonzero(coeffs: &[f64]) -> Vec<Complex> {
     match n {
         1 => vec![Complex::from_real(-coeffs[0] / coeffs[1])],
         2 => quadratic_roots(coeffs[0], coeffs[1], coeffs[2]),
-        _ => aberth(coeffs),
+        _ => aberth(coeffs).0,
     }
 }
 
@@ -97,35 +99,14 @@ fn eval_with_derivative(coeffs: &[f64], z: Complex) -> (Complex, Complex) {
     (p, dp)
 }
 
-/// Aberth–Ehrlich simultaneous root refinement.
-fn aberth(coeffs: &[f64]) -> Vec<Complex> {
+/// Aberth–Ehrlich simultaneous root refinement. Also returns the number
+/// of iterations it ran.
+fn aberth(coeffs: &[f64]) -> (Vec<Complex>, usize) {
     let n = coeffs.len() - 1;
-    // Scale to monic for bound computation (work on original for evaluation
-    // to avoid altering conditioning).
-    let lead = coeffs[n];
-    // Cauchy-style radius bounds: all roots lie in r_low <= |z| <= r_high.
-    let r_high = 1.0
-        + coeffs[..n]
-            .iter()
-            .map(|&c| (c / lead).abs())
-            .fold(0.0_f64, f64::max);
-    let c0 = coeffs[0];
-    let r_low = (c0.abs()
-        / (c0.abs() + coeffs[1..].iter().map(|&c| c.abs()).fold(0.0_f64, f64::max)))
-    .max(1e-30);
-    let r0 = (r_high * r_low).sqrt().clamp(1e-30, 1e30);
-
-    // Initial guesses on a circle, slightly perturbed off the real axis and
-    // with an irrational angular offset so symmetric configurations do not
-    // stall the iteration.
-    let mut z: Vec<Complex> = (0..n)
-        .map(|k| {
-            let theta = 2.0 * std::f64::consts::PI * (k as f64 + 0.354) / n as f64 + 0.5;
-            Complex::from_polar(r0 * (1.0 + 0.05 * (k as f64 / n as f64)), theta)
-        })
-        .collect();
-
-    for _ in 0..MAX_ITER {
+    let mut z = newton_polygon_starts(coeffs);
+    let mut iters = 0;
+    while iters < MAX_ITER {
+        iters += 1;
         let mut max_step = 0.0_f64;
         for i in 0..n {
             let (p, dp) = eval_with_derivative(coeffs, z[i]);
@@ -184,6 +165,46 @@ fn aberth(coeffs: &[f64]) -> Vec<Complex> {
     for zi in z.iter_mut() {
         if zi.im.abs() < 1e-9 * (1.0 + zi.re.abs()) {
             zi.im = 0.0;
+        }
+    }
+    (z, iters)
+}
+
+/// Initial Aberth guesses from the Newton polygon: the upper convex hull
+/// of `(k, ln|a_k|)` over the nonzero coefficients. Each hull edge `i→j`
+/// bounds the magnitude of `j−i` roots near `(|a_i|/|a_j|)^(1/(j−i))`, so
+/// that many starts go on that circle, at angles offset off the real axis.
+///
+/// `coeffs[0]` and `coeffs[n]` must be nonzero; the hull then spans
+/// `0..=n` and yields exactly `n` starts for any `f64` input.
+fn newton_polygon_starts(coeffs: &[f64]) -> Vec<Complex> {
+    let n = coeffs.len() - 1;
+    let mut hull: Vec<(usize, f64)> = Vec::with_capacity(n + 1);
+    for (k, &c) in coeffs.iter().enumerate() {
+        if c == 0.0 {
+            continue;
+        }
+        let y = c.abs().ln();
+        // Pop while the last hull point lies on or below the chord to `k`.
+        while let [.., (i0, y0), (i1, y1)] = hull[..] {
+            let cross = (i1 - i0) as f64 * (y - y0) - (k - i0) as f64 * (y1 - y0);
+            if cross >= 0.0 {
+                hull.pop();
+            } else {
+                break;
+            }
+        }
+        hull.push((k, y));
+    }
+    let mut z = Vec::with_capacity(n);
+    for w in hull.windows(2) {
+        let ((i, yi), (j, yj)) = (w[0], w[1]);
+        let m = j - i;
+        let r = ((yi - yj) / m as f64).exp();
+        for k in 0..m {
+            let theta =
+                2.0 * std::f64::consts::PI * (k as f64 / m as f64 + i as f64 / n as f64) + 0.7;
+            z.push(Complex::from_polar(r, theta));
         }
     }
     z
@@ -274,6 +295,15 @@ mod tests {
             assert!((g.re - w).abs() < 1e-4 * w.abs(), "{} vs {}", g.re, w);
             assert!(g.im.abs() < 1e-3 * w.abs());
         }
+    }
+
+    #[test]
+    fn spread_poles_converge_in_few_iterations() {
+        // The fixture of `widely_spread_circuit_poles`: one Newton-polygon
+        // circle per pole, so each start begins at its own magnitude.
+        let p = Poly::from_roots(&[-1e4, -1e7, -1e9]);
+        let (_, iters) = aberth(p.coeffs());
+        assert!(iters <= 10, "{iters} iterations");
     }
 
     #[test]

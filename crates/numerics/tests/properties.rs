@@ -5,7 +5,7 @@ use adc_numerics::complex::Complex;
 use adc_numerics::fft::{fft_in_place, fft_real, ifft_in_place};
 use adc_numerics::linalg::Matrix;
 use adc_numerics::poly::Poly;
-use adc_numerics::roots::sort_roots;
+use adc_numerics::roots::{poly_roots, sort_roots};
 use proptest::prelude::*;
 
 proptest! {
@@ -622,5 +622,81 @@ proptest! {
             sparse.as_ref().map(|s| s.factor_nnz()),
             dense.as_ref().map(|d| d.factor_nnz())
         );
+    }
+}
+
+/// The real polynomial whose roots are the given real roots plus one
+/// conjugate pair `m·e^{±iθ}` per `(m, θ)`, and that root set.
+fn poly_with_roots(reals: &[f64], pairs: &[(f64, f64)]) -> (Poly, Vec<Complex>) {
+    let mut p = Poly::from_roots(reals);
+    let mut roots: Vec<Complex> = reals.iter().map(|&r| Complex::from_real(r)).collect();
+    for &(m, theta) in pairs {
+        let z = Complex::from_polar(m, theta);
+        p = &p * &Poly::new(vec![m * m, -2.0 * z.re, 1.0]);
+        roots.push(z);
+        roots.push(z.conj());
+    }
+    (p, roots)
+}
+
+proptest! {
+    /// Mixed real roots and conjugate pairs of degree 3–12, with
+    /// magnitudes spread over 10⁰–10¹¹ (circuit poles and zeros), are
+    /// recovered to 1e-4 relative, the tolerance of the spread-pole test.
+    #[test]
+    fn poly_roots_recovers_spread_root_sets(
+        spec in proptest::collection::vec((0.0f64..11.0, 0u8..3, 0.15f64..0.85), 2..9),
+    ) {
+        let (mut reals, mut pairs) = (Vec::new(), Vec::new());
+        for &(log_mag, kind, frac) in &spec {
+            let m = 10f64.powf(log_mag);
+            match kind {
+                0 => reals.push(-m),
+                1 => reals.push(m),
+                _ => pairs.push((m, frac * std::f64::consts::PI)),
+            }
+        }
+        let deg = reals.len() + 2 * pairs.len();
+        prop_assume!((3..=12).contains(&deg));
+        // Distinct magnitudes at least a factor of 2 apart keep every
+        // root well conditioned.
+        let mut mags: Vec<f64> = spec.iter().map(|s| s.0).collect();
+        mags.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        prop_assume!(mags.windows(2).all(|w| w[1] - w[0] > 0.3));
+        let (p, want) = poly_with_roots(&reals, &pairs);
+        let mut got = poly_roots(p.coeffs());
+        prop_assert_eq!(got.len(), deg);
+        for w in &want {
+            let (k, err) = got
+                .iter()
+                .map(|g| (*g - *w).norm())
+                .enumerate()
+                .fold((0, f64::INFINITY), |best, (k, e)| if e < best.1 { (k, e) } else { best });
+            prop_assert!(err < 1e-4 * w.norm(), "root {:?} missed by {:e}: {:?}", w, err, got);
+            got.swap_remove(k);
+        }
+    }
+
+    /// `poly_roots` never panics and returns exactly `deg` roots on
+    /// arbitrary `f64` coefficients: NaN, ±inf, subnormals, extreme
+    /// exponents and runs of interior zeros included.
+    #[test]
+    fn poly_roots_total_on_arbitrary_coefficients(
+        raw in proptest::collection::vec((0u8..8, -1.0f64..1.0, -320i32..300), 0..16),
+    ) {
+        let coeffs: Vec<f64> = raw
+            .iter()
+            .map(|&(kind, m, e)| match kind {
+                0..=2 => 0.0,
+                3 => f64::NAN,
+                4 => f64::INFINITY.copysign(m),
+                5 => m * 1e-310,
+                // Split exponent: no intermediate under/overflow.
+                6 => m * 10f64.powi(e / 2) * 10f64.powi(e - e / 2),
+                _ => m,
+            })
+            .collect();
+        let deg = coeffs.iter().rposition(|&c| c != 0.0).unwrap_or(0);
+        prop_assert_eq!(poly_roots(&coeffs).len(), deg, "{:?}", coeffs);
     }
 }

@@ -15,10 +15,13 @@ use std::sync::OnceLock;
 
 /// A numeric transfer function `H(s) = num(s)/den(s)`.
 ///
-/// Roots of both polynomials are computed lazily and cached: the root
-/// finder is deterministic, so the cache returns exactly the bits a
-/// fresh computation would — repeated phase/stability queries stop
-/// re-finding the same roots.
+/// Roots of both polynomials are cached, so repeated phase/stability
+/// queries stop re-finding them. [`Tf::new`] starts with an empty cache
+/// that the root finder fills on first use. [`Tf::cancel_common_roots`]
+/// fills it with the surviving zeros and poles it rebuilt `num`/`den`
+/// from; those agree with a fresh root finding of the rebuilt polynomials
+/// to root-finder accuracy, not bit for bit. Equality compares `num`/`den`
+/// only.
 #[derive(Debug, Clone)]
 pub struct Tf {
     num: Poly,
@@ -153,6 +156,10 @@ impl Tf {
 
     /// Removes matching pole/zero pairs closer than `rel_tol` (relative to
     /// magnitude). Useful after determinant-based extraction.
+    ///
+    /// The result's `num`/`den` are rebuilt from the surviving roots, and
+    /// those survivors are its cached zeros and poles: nothing is rooted
+    /// twice.
     pub fn cancel_common_roots(&self, rel_tol: f64) -> Tf {
         let mut zeros = self.zeros();
         let mut poles = self.poles();
@@ -173,7 +180,11 @@ impl Tf {
         }
         let num = Poly::from_complex_roots(&zeros).scale(num_lead);
         let den = Poly::from_complex_roots(&poles).scale(den_lead);
-        Tf::new(num, den)
+        Tf {
+            num_roots: OnceLock::from(zeros),
+            den_roots: OnceLock::from(poles),
+            ..Tf::new(num, den)
+        }
     }
 
     /// Finds the unity-gain frequency by scanning `[f_lo, f_hi]` on a log
@@ -429,6 +440,28 @@ mod tests {
         assert_eq!(h.poles().len(), 1);
         assert_eq!(h.zeros().len(), 1);
         assert!((h.dc_gain() - 0.5).abs() < 1e-9);
+    }
+
+    #[test]
+    fn cancelled_tf_caches_the_survivors() {
+        // Cubic survivors go through Aberth, whose roots of the rebuilt
+        // polynomials differ from the survivors in the last bits.
+        let num = Poly::from_roots(&[-10.0, -1.0, -3.0, -5.0]);
+        let den = Poly::from_roots(&[-10.0, -2.0, -4.0, -7.0]);
+        let raw = Tf::new(num, den);
+        let h = raw.cancel_common_roots(1e-9);
+        let survivors = |all: Vec<Complex>| -> Vec<Complex> {
+            all.into_iter()
+                .filter(|r| (r.re + 10.0).abs() > 1e-6)
+                .collect()
+        };
+        let (mut zeros, mut poles) = (h.zeros(), h.poles());
+        let (mut want_z, mut want_p) = (survivors(raw.zeros()), survivors(raw.poles()));
+        for v in [&mut zeros, &mut poles, &mut want_z, &mut want_p] {
+            v.sort_by(|a, b| a.re.total_cmp(&b.re));
+        }
+        assert_eq!(zeros, want_z);
+        assert_eq!(poles, want_p);
     }
 
     #[test]
