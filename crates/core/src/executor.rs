@@ -351,17 +351,6 @@ where
         .collect()
 }
 
-/// Runs an embarrassingly parallel map (no dependencies) on the executor —
-/// the degenerate DAG used by candidate-level evaluation.
-pub fn run_parallel<R, F>(n: usize, opts: &ExecutorOptions, task: F) -> Vec<R>
-where
-    R: Clone + Send,
-    F: Fn(usize) -> R + Sync,
-{
-    let deps = vec![None; n];
-    run_dag(&deps, opts, |i, _| task(i))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -441,13 +430,6 @@ mod tests {
     fn empty_dag_is_fine() {
         let out: Vec<u8> = run_dag(&[], &ExecutorOptions::default(), |_, _| 0);
         assert!(out.is_empty());
-    }
-
-    #[test]
-    fn parallel_map_matches_serial() {
-        let a = run_parallel(17, &ExecutorOptions::with_threads(1), |i| i * i);
-        let b = run_parallel(17, &ExecutorOptions::with_threads(4), |i| i * i);
-        assert_eq!(a, b);
     }
 
     #[test]

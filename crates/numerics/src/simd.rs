@@ -1,14 +1,31 @@
-//! Explicit SIMD kernels behind a single runtime-detected dispatch point.
+//! Explicit SIMD kernels behind a single runtime-detected dispatch point:
+//! AVX2 on `x86_64`, NEON on `aarch64`, and a scalar twin of every
+//! vectorized kernel everywhere else (and as the bit-compared oracle under
+//! `ADC_FORCE_SCALAR=1`).
 //!
-//! The evaluation hot path — stamp replay ([`crate::sparse::CsrMatrix::scatter_add`],
-//! [`crate::sparse::CCsrMatrix::scatter_add_scaled`],
-//! [`crate::linalg::Matrix::scatter_add`]) and the LU inner row updates
-//! (dense [`crate::linalg::Lu`]/[`crate::linalg::CLu`], sparse
-//! `factor_core`) — was deliberately shaped as fixed-width 4-lane chunks so
-//! intrinsics could drop in without changing accumulation order. This module
-//! is that drop-in: AVX2 kernels on `x86_64`, NEON on `aarch64`, and the
-//! original scalar 4-lane loops everywhere else (and as the bit-compared
-//! oracle under `ADC_FORCE_SCALAR=1`).
+//! # Which kernels are vectorized, and why
+//!
+//! A kernel keeps a vector path only where measured traffic reaches it
+//! (call counters on the served-flow benchmark and `bench_eval`; see
+//! EXPERIMENTS.md §14):
+//!
+//! - [`lane_assemble`], [`lane_factor_rows`], [`lane_fwd_all`] and
+//!   [`lane_bwd_all`] — the batched complex sparse LU behind
+//!   [`crate::sparse::CSparseLuBatch`] (TF det-sampling, AC sweeps, chain
+//!   crossing searches). Callers pad batches with [`padded_lanes`]; on
+//!   every measured workload each call ran full vector groups.
+//! - [`rational_mags`] — batched `|H(jω)|` magnitude scans, millions of
+//!   calls per cold served run.
+//! - [`axpy_sub`] / [`caxpy_sub`] — the dense LU row updates of
+//!   [`crate::linalg::Lu`]/[`crate::linalg::CLu`], whose rows run to
+//!   tens of entries on the dense pipeline oracle.
+//!
+//! The stamp-replay scatters ([`scatter_add`], [`scatter_add_uniform`],
+//! [`scatter_add_scaled`]) are scalar on every backend: scattered `+=` is
+//! order-dependent and has no vector scatter instruction, and the scaled
+//! replay is too rare to pay for a vector product path. The serial sparse
+//! LU's elimination update is a plain loop in `sparse::factor_core`: its
+//! factor rows are at most two entries long on every measured workload.
 //!
 //! # Bit-identity contract
 //!
@@ -23,13 +40,12 @@
 //!   (`re·re − im·im`, `re·im + im·re`) using one rounding per `·`, `+`,
 //!   `−` — `_mm256_addsub_pd` / a sign-flipped NEON add give the same
 //!   single-rounded results as the scalar `−`/`+`.
-//! - Scattered accumulation (`out[slot] += v` with possibly repeated
-//!   slots) is **inherently order-dependent**, and no AVX2/NEON scatter
-//!   instruction exists anyway, so the scattered adds always run in scalar
-//!   program order on every backend; SIMD only prepares the products
-//!   feeding them. `scatter_add`/`scatter_add_uniform` (pure `f64`
-//!   scatters with no arithmetic to hoist) therefore use the shared scalar
-//!   kernel on all backends by design.
+//! - Accumulation through repeatable slots (the cap entries of
+//!   [`lane_assemble`], the `e_target` schedule of [`lane_factor_rows`])
+//!   runs in entry order and is vectorized only across independent lanes,
+//!   so each lane performs exactly the serial sequence of rounded ops.
+//! - Lane divisions use Smith's algorithm with operand blends on
+//!   `|br| ≥ |bi|`, reproducing both branches of [`Complex`]'s `Div`.
 //!
 //! # Dispatch
 //!
@@ -120,12 +136,11 @@ pub fn padded_lanes(k: usize) -> usize {
 // ---------------------------------------------------------------------------
 
 /// Accumulates `vals[k]` into `out[slots[k]]` for every `k`, in order —
-/// the one shared scatter kernel behind `Matrix::scatter_add`,
-/// `CsrMatrix::scatter_add` and (product formation aside)
-/// `CCsrMatrix::scatter_add_scaled`. Scattered `+=` with repeatable slots
-/// is order-dependent and has no AVX2/NEON scatter instruction, so this
-/// runs the scalar 4-lane loop on every backend; it exists here so the
-/// replay shape lives in exactly one place.
+/// the one shared scatter kernel behind `Matrix::scatter_add` and
+/// `CsrMatrix::scatter_add`. Scattered `+=` with repeatable slots is
+/// order-dependent and has no AVX2/NEON scatter instruction, so this runs
+/// the scalar 4-lane loop on every backend; it exists here so the replay
+/// shape lives in exactly one place.
 ///
 /// # Panics
 /// Panics if `slots` and `vals` differ in length or a slot is out of range.
@@ -162,39 +177,19 @@ pub fn scatter_add_uniform(out: &mut [f64], slots: &[usize], v: f64) {
     }
 }
 
-/// Accumulates `s · vals[k]` into `out[slots[k]]` for every `k` — the
-/// per-sample replay of `s`-scaled capacitive entries. The complex products
-/// (`s.re·v`, `s.im·v`) are formed SIMD-wide per 4-lane block; the scattered
-/// accumulation stays in scalar program order (slots may repeat).
+/// Accumulates `s · vals[k]` into `out[slots[k]]` for every `k`, in order
+/// (slots may repeat) — the per-sample replay of `s`-scaled capacitive
+/// entries behind `CCsrMatrix::scatter_add_scaled`. Scalar on every
+/// backend: it runs once per serial complex factorization, at most a few
+/// thousand times per benchmark run, too rare for a vector product path
+/// to pay (EXPERIMENTS.md §14).
 ///
 /// # Panics
 /// Panics if `slots` and `vals` differ in length or a slot is out of range.
 pub fn scatter_add_scaled(out: &mut [Complex], slots: &[usize], vals: &[f64], s: Complex) {
     assert_eq!(slots.len(), vals.len(), "slot/value length mismatch");
-    match backend() {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: `Backend::Avx2` is only returned when AVX2 was detected.
-        Backend::Avx2 => unsafe { avx2::scatter_add_scaled(out, slots, vals, s) },
-        #[cfg(target_arch = "aarch64")]
-        Backend::Neon => neon::scatter_add_scaled(out, slots, vals, s),
-        Backend::Scalar => scatter_add_scaled_scalar(out, slots, vals, s),
-    }
-}
-
-/// Scalar oracle for [`scatter_add_scaled`] — the original 4-lane kernel,
-/// kept verbatim.
-pub fn scatter_add_scaled_scalar(out: &mut [Complex], slots: &[usize], vals: &[f64], s: Complex) {
-    let mut s4 = slots.chunks_exact(4);
-    let mut v4 = vals.chunks_exact(4);
-    for (sl, v) in (&mut s4).zip(&mut v4) {
-        let prod = [s * v[0], s * v[1], s * v[2], s * v[3]];
-        out[sl[0]] += prod[0];
-        out[sl[1]] += prod[1];
-        out[sl[2]] += prod[2];
-        out[sl[3]] += prod[3];
-    }
-    for (&sl, &v) in s4.remainder().iter().zip(v4.remainder()) {
-        out[sl] += s * v;
+    for (&slot, &v) in slots.iter().zip(vals) {
+        out[slot] += s * v;
     }
 }
 
@@ -249,253 +244,13 @@ pub fn caxpy_sub_scalar(dst: &mut [Complex], src: &[Complex], f: Complex) {
 }
 
 // ---------------------------------------------------------------------------
-// Sparse LU inner row updates (scattered destination, contiguous factors).
-// ---------------------------------------------------------------------------
-
-/// `w[cols[q]] -= f · vals[q]` — the sparse real elimination update. The
-/// products `f · vals` are formed SIMD-wide (contiguous), the scattered
-/// subtractions run in scalar program order (`cols` within one factor row
-/// are distinct, but order is kept anyway).
-///
-/// # Panics
-/// Panics if `cols` and `vals` differ in length or a column is out of range.
-pub fn scatter_axpy_sub(w: &mut [f64], cols: &[usize], vals: &[f64], f: f64) {
-    assert_eq!(cols.len(), vals.len(), "length mismatch");
-    // Real MNA factor rows are short (~4 entries on the pipeline chain);
-    // there the product round-trip through a stack buffer costs more than
-    // the three multiplies it saves, measurably slowing the DC Newton
-    // loop. Every backend produces identical bits, so a length cutover
-    // cannot fork trajectories.
-    if cols.len() < 16 {
-        return scatter_axpy_sub_scalar(w, cols, vals, f);
-    }
-    match backend() {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: `Backend::Avx2` is only returned when AVX2 was detected.
-        Backend::Avx2 => unsafe { avx2::scatter_axpy_sub(w, cols, vals, f) },
-        #[cfg(target_arch = "aarch64")]
-        Backend::Neon => neon::scatter_axpy_sub(w, cols, vals, f),
-        Backend::Scalar => scatter_axpy_sub_scalar(w, cols, vals, f),
-    }
-}
-
-/// Scalar oracle for [`scatter_axpy_sub`].
-pub fn scatter_axpy_sub_scalar(w: &mut [f64], cols: &[usize], vals: &[f64], f: f64) {
-    for (&c, &v) in cols.iter().zip(vals) {
-        w[c] -= f * v;
-    }
-}
-
-/// `w[cols[q]] -= f · vals[q]` (complex) — the sparse complex elimination
-/// update, structured like [`scatter_axpy_sub`].
-///
-/// # Panics
-/// Panics if `cols` and `vals` differ in length or a column is out of range.
-pub fn scatter_caxpy_sub(w: &mut [Complex], cols: &[usize], vals: &[Complex], f: Complex) {
-    assert_eq!(cols.len(), vals.len(), "length mismatch");
-    match backend() {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: `Backend::Avx2` is only returned when AVX2 was detected.
-        Backend::Avx2 => unsafe { avx2::scatter_caxpy_sub(w, cols, vals, f) },
-        #[cfg(target_arch = "aarch64")]
-        Backend::Neon => neon::scatter_caxpy_sub(w, cols, vals, f),
-        Backend::Scalar => scatter_caxpy_sub_scalar(w, cols, vals, f),
-    }
-}
-
-/// Scalar oracle for [`scatter_caxpy_sub`].
-pub fn scatter_caxpy_sub_scalar(w: &mut [Complex], cols: &[usize], vals: &[Complex], f: Complex) {
-    for (&c, &v) in cols.iter().zip(vals) {
-        w[c] -= f * v;
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Batched (struct-of-arrays) complex lanes.
-// ---------------------------------------------------------------------------
-
-/// Lane-wise complex multiply-subtract over split re/im arrays:
-/// `d[l] -= a[l] · b[l]` with the product expression matching
-/// [`Complex`]'s `Mul` exactly — the inner kernel of the batched sparse
-/// complex factor/solve.
-///
-/// # Panics
-/// Panics if the slices differ in length.
-pub fn lane_cmul_sub(
-    dr: &mut [f64],
-    di: &mut [f64],
-    ar: &[f64],
-    ai: &[f64],
-    br: &[f64],
-    bi: &[f64],
-) {
-    let n = dr.len();
-    assert!(
-        di.len() == n && ar.len() == n && ai.len() == n && br.len() == n && bi.len() == n,
-        "lane length mismatch"
-    );
-    match backend() {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: `Backend::Avx2` is only returned when AVX2 was detected.
-        Backend::Avx2 => unsafe { avx2::lane_cmul_sub(dr, di, ar, ai, br, bi) },
-        #[cfg(target_arch = "aarch64")]
-        Backend::Neon => neon::lane_cmul_sub(dr, di, ar, ai, br, bi),
-        Backend::Scalar => lane_cmul_sub_scalar(dr, di, ar, ai, br, bi),
-    }
-}
-
-/// Scalar oracle for [`lane_cmul_sub`].
-pub fn lane_cmul_sub_scalar(
-    dr: &mut [f64],
-    di: &mut [f64],
-    ar: &[f64],
-    ai: &[f64],
-    br: &[f64],
-    bi: &[f64],
-) {
-    for l in 0..dr.len() {
-        // Exactly Complex::mul then SubAssign: four rounded multiplies, one
-        // rounded sub/add for each component, one rounded -= each.
-        let pr = ar[l] * br[l] - ai[l] * bi[l];
-        let pi = ar[l] * bi[l] + ai[l] * br[l];
-        dr[l] -= pr;
-        di[l] -= pi;
-    }
-}
-
-/// Lane-wise complex division over split re/im arrays:
-/// `q[l] = a[l] / b[l]` with results bit-identical to [`Complex`]'s `Div`
-/// (Smith's algorithm) per lane — the multiplier/pivot division of the
-/// batched sparse complex factor/solve, where per-lane scalar divides
-/// otherwise dominate the factor cost.
-///
-/// The vector form evaluates **one** op sequence for both Smith branches by
-/// blending *operands* instead of branching: with `mask = |br| ≥ |bi|`
-/// (false on NaN, like the scalar `>=`), `r`'s numerator/denominator, `d`'s
-/// addends, and the output numerators are per-lane operand selections such
-/// that each lane performs exactly the rounded ops its scalar branch would
-/// (using `x + y·r ≡ y·r + x` commutativity where the branches write the
-/// sum in opposite order; the non-commutative imaginary-part subtraction is
-/// computed both ways and result-blended). Exact-zero denominators
-/// (`br == 0 && bi == 0`, where the scalar code divides by literal `+0.0`)
-/// are patched per lane with the scalar expression.
-///
-/// # Panics
-/// Panics if the slices differ in length.
-pub fn lane_cdiv(qr: &mut [f64], qi: &mut [f64], ar: &[f64], ai: &[f64], br: &[f64], bi: &[f64]) {
-    let n = qr.len();
-    assert!(
-        qi.len() == n && ar.len() == n && ai.len() == n && br.len() == n && bi.len() == n,
-        "lane length mismatch"
-    );
-    match backend() {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: `Backend::Avx2` is only returned when AVX2 was detected.
-        Backend::Avx2 => unsafe { avx2::lane_cdiv(qr, qi, ar, ai, br, bi) },
-        #[cfg(target_arch = "aarch64")]
-        Backend::Neon => neon::lane_cdiv(qr, qi, ar, ai, br, bi),
-        Backend::Scalar => lane_cdiv_scalar(qr, qi, ar, ai, br, bi),
-    }
-}
-
-/// Scalar oracle for [`lane_cdiv`] — per-lane [`Complex`] division.
-pub fn lane_cdiv_scalar(
-    qr: &mut [f64],
-    qi: &mut [f64],
-    ar: &[f64],
-    ai: &[f64],
-    br: &[f64],
-    bi: &[f64],
-) {
-    for l in 0..qr.len() {
-        let q = Complex::new(ar[l], ai[l]) / Complex::new(br[l], bi[l]);
-        qr[l] = q.re;
-        qi[l] = q.im;
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Batched sparse LU row kernels (one call per elimination/substitution row).
-//
-// The per-lane kernels above cost a dispatch + call per *nonzero*, which at
-// 8 lanes × a handful of flops swamps the arithmetic. These fused kernels
-// move the whole row loop (division included) behind one dispatch so the
-// multiplier lanes stay in registers across the row.
+// Batched (struct-of-arrays) complex sparse LU: one dispatch per whole
+// assembly, factorization or substitution, so the lane vectors stay in
+// registers across rows instead of paying a dispatch per nonzero.
 //
 // All offsets address the batch workspaces' position-major, lane-minor
 // layout: lane `l` of factor position `p` lives at `p·lanes + l`.
 // ---------------------------------------------------------------------------
-
-/// One batched up-looking elimination step: forms the multiplier
-/// `f = w[j] / U_jj` per lane (Smith division, bit-identical to
-/// [`Complex`]'s `Div`), stores it back into `w[j]`, then applies
-/// `w[c_q] -= f · U_j[c_q]` over row `j`'s upper entries.
-///
-/// `jm` is the multiplier offset (`j·lanes`) in `w`, `dp` the pivot offset
-/// (`diag_j·lanes`) and `p0` the offset of `cols[0]`'s values in `f`.
-/// The pivot must not be exactly `0 + 0i` in any lane (factored pivots
-/// passed the singularity check, which excludes exact zeros — the scalar
-/// short-circuit branch is therefore unreachable and the vector division
-/// needs no patch).
-///
-/// # Panics
-/// Panics (via slice indexing) if any offset or column is out of range.
-#[allow(clippy::too_many_arguments)]
-pub fn lane_eliminate_row(
-    w_re: &mut [f64],
-    w_im: &mut [f64],
-    jm: usize,
-    dp: usize,
-    cols: &[usize],
-    p0: usize,
-    f_re: &[f64],
-    f_im: &[f64],
-    lanes: usize,
-) {
-    match backend() {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: `Backend::Avx2` is only returned when AVX2 was detected.
-        Backend::Avx2 if lanes % 4 == 0 => unsafe {
-            avx2::lane_eliminate_row(w_re, w_im, jm, dp, cols, p0, f_re, f_im, lanes)
-        },
-        #[cfg(target_arch = "aarch64")]
-        Backend::Neon if lanes % 2 == 0 => {
-            neon::lane_eliminate_row(w_re, w_im, jm, dp, cols, p0, f_re, f_im, lanes)
-        }
-        _ => lane_eliminate_row_scalar(w_re, w_im, jm, dp, cols, p0, f_re, f_im, lanes),
-    }
-}
-
-/// Scalar oracle for [`lane_eliminate_row`].
-#[allow(clippy::too_many_arguments)]
-pub fn lane_eliminate_row_scalar(
-    w_re: &mut [f64],
-    w_im: &mut [f64],
-    jm: usize,
-    dp: usize,
-    cols: &[usize],
-    p0: usize,
-    f_re: &[f64],
-    f_im: &[f64],
-    lanes: usize,
-) {
-    for l in 0..lanes {
-        let f = Complex::new(w_re[jm + l], w_im[jm + l]) / Complex::new(f_re[dp + l], f_im[dp + l]);
-        w_re[jm + l] = f.re;
-        w_im[jm + l] = f.im;
-    }
-    for (q, &c) in cols.iter().enumerate() {
-        let cm = c * lanes;
-        let p = p0 + q * lanes;
-        for l in 0..lanes {
-            // Exactly Complex::mul then SubAssign, like lane_cmul_sub.
-            let pr = w_re[jm + l] * f_re[p + l] - w_im[jm + l] * f_im[p + l];
-            let pi = w_re[jm + l] * f_im[p + l] + w_im[jm + l] * f_re[p + l];
-            w_re[cm + l] -= pr;
-            w_im[cm + l] -= pi;
-        }
-    }
-}
 
 /// Shared pivot acceptance test of the batched factor: fails a lane iff
 /// the serial check `pivot.norm() < tol` would, using the cheap component
@@ -709,7 +464,9 @@ pub fn lane_factor_rows_scalar(
 }
 
 /// The complete batched forward substitution (`L y = P_r b`, unit
-/// diagonal) behind one dispatch — [`lane_fwd_row`] per row, inlined.
+/// diagonal) behind one dispatch: per row, `y[i]` starts at the broadcast
+/// right-hand side and accumulates `−L_i[c] · y[c]` over the row's lower
+/// entries.
 ///
 /// # Panics
 /// Panics (via slice indexing) if the symbolic arrays and lane storage
@@ -777,10 +534,11 @@ pub fn lane_fwd_all_scalar(
     }
 }
 
-/// The complete batched back substitution (`U x' = y`, pivot division per
-/// row) behind one dispatch — [`lane_bwd_row`] per row, inlined. Pivots
-/// passed the factor's singularity check, so exact-zero divisors are
-/// unreachable.
+/// The complete batched back substitution (`U x' = y`) behind one
+/// dispatch: per row, `y[i]` accumulates `−U_i[c] · y[c]` over the row's
+/// upper entries, then is divided by the pivot `U_ii` per lane (Smith
+/// division, bit-identical to [`Complex`]'s `Div`). Pivots passed the
+/// factor's singularity check, so exact-zero divisors are unreachable.
 ///
 /// # Panics
 /// Panics (via slice indexing) if the symbolic arrays and lane storage
@@ -838,44 +596,10 @@ pub fn lane_bwd_all_scalar(
     }
 }
 
-/// One batched forward-substitution row: initializes `y[i]` to the
-/// broadcast right-hand side, then applies `y[i] -= L_i[c_q] · y[c_q]`
-/// over row `i`'s lower entries (`c_q < i`), accumulator lanes held in
-/// registers. `im` is `i·lanes` in `y`; `p0` the offset of `cols[0]`'s
-/// values in `f`.
-///
-/// # Panics
-/// Panics (via slice indexing) if any offset or column is out of range.
+/// One forward-substitution row of [`lane_fwd_all_scalar`]: `im` is
+/// `i·lanes` in `y`, `p0` the offset of `cols[0]`'s values in `f`.
 #[allow(clippy::too_many_arguments)]
-pub fn lane_fwd_row(
-    y_re: &mut [f64],
-    y_im: &mut [f64],
-    im: usize,
-    b_re: f64,
-    b_im: f64,
-    cols: &[usize],
-    p0: usize,
-    f_re: &[f64],
-    f_im: &[f64],
-    lanes: usize,
-) {
-    match backend() {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: `Backend::Avx2` is only returned when AVX2 was detected.
-        Backend::Avx2 if lanes % 4 == 0 => unsafe {
-            avx2::lane_fwd_row(y_re, y_im, im, b_re, b_im, cols, p0, f_re, f_im, lanes)
-        },
-        #[cfg(target_arch = "aarch64")]
-        Backend::Neon if lanes % 2 == 0 => {
-            neon::lane_fwd_row(y_re, y_im, im, b_re, b_im, cols, p0, f_re, f_im, lanes)
-        }
-        _ => lane_fwd_row_scalar(y_re, y_im, im, b_re, b_im, cols, p0, f_re, f_im, lanes),
-    }
-}
-
-/// Scalar oracle for [`lane_fwd_row`].
-#[allow(clippy::too_many_arguments)]
-pub fn lane_fwd_row_scalar(
+fn lane_fwd_row_scalar(
     y_re: &mut [f64],
     y_im: &mut [f64],
     im: usize,
@@ -903,44 +627,11 @@ pub fn lane_fwd_row_scalar(
     }
 }
 
-/// One batched back-substitution row: applies
-/// `y[i] -= U_i[c_q] · y[c_q]` over row `i`'s upper entries (`c_q > i`),
-/// then divides by the pivot `U_ii` per lane (Smith division). `im` is
-/// `i·lanes` in `y`, `p0` the offset of `cols[0]`'s values and `dp` the
-/// pivot offset in `f`. Pivots passed the singularity check, so exact-zero
-/// divisors are unreachable (see [`lane_eliminate_row`]).
-///
-/// # Panics
-/// Panics (via slice indexing) if any offset or column is out of range.
+/// One back-substitution row of [`lane_bwd_all_scalar`]: `im` is `i·lanes`
+/// in `y`, `p0` the offset of `cols[0]`'s values and `dp` the pivot offset
+/// in `f`.
 #[allow(clippy::too_many_arguments)]
-pub fn lane_bwd_row(
-    y_re: &mut [f64],
-    y_im: &mut [f64],
-    im: usize,
-    cols: &[usize],
-    p0: usize,
-    dp: usize,
-    f_re: &[f64],
-    f_im: &[f64],
-    lanes: usize,
-) {
-    match backend() {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: `Backend::Avx2` is only returned when AVX2 was detected.
-        Backend::Avx2 if lanes % 4 == 0 => unsafe {
-            avx2::lane_bwd_row(y_re, y_im, im, cols, p0, dp, f_re, f_im, lanes)
-        },
-        #[cfg(target_arch = "aarch64")]
-        Backend::Neon if lanes % 2 == 0 => {
-            neon::lane_bwd_row(y_re, y_im, im, cols, p0, dp, f_re, f_im, lanes)
-        }
-        _ => lane_bwd_row_scalar(y_re, y_im, im, cols, p0, dp, f_re, f_im, lanes),
-    }
-}
-
-/// Scalar oracle for [`lane_bwd_row`].
-#[allow(clippy::too_many_arguments)]
-pub fn lane_bwd_row_scalar(
+fn lane_bwd_row_scalar(
     y_re: &mut [f64],
     y_im: &mut [f64],
     im: usize,
@@ -1025,125 +716,6 @@ mod avx2 {
         }
     }
 
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn scatter_add_scaled(
-        out: &mut [Complex],
-        slots: &[usize],
-        vals: &[f64],
-        s: Complex,
-    ) {
-        let n = vals.len();
-        let sre = _mm256_set1_pd(s.re);
-        let sim = _mm256_set1_pd(s.im);
-        let mut pre = [0.0f64; 4];
-        let mut pim = [0.0f64; 4];
-        let mut k = 0usize;
-        while k + 4 <= n {
-            let v = _mm256_loadu_pd(vals.as_ptr().add(k));
-            _mm256_storeu_pd(pre.as_mut_ptr(), _mm256_mul_pd(sre, v));
-            _mm256_storeu_pd(pim.as_mut_ptr(), _mm256_mul_pd(sim, v));
-            // Scattered accumulation in program order (slots may repeat).
-            for lane in 0..4 {
-                let o = out.get_unchecked_mut(*slots.get_unchecked(k + lane));
-                o.re += pre[lane];
-                o.im += pim[lane];
-            }
-            k += 4;
-        }
-        while k < n {
-            let v = *vals.get_unchecked(k);
-            let o = out.get_unchecked_mut(*slots.get_unchecked(k));
-            *o += s * v;
-            k += 1;
-        }
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn scatter_axpy_sub(w: &mut [f64], cols: &[usize], vals: &[f64], f: f64) {
-        let n = vals.len();
-        let fv = _mm256_set1_pd(f);
-        let mut prod = [0.0f64; 4];
-        let mut q = 0usize;
-        while q + 4 <= n {
-            let v = _mm256_loadu_pd(vals.as_ptr().add(q));
-            _mm256_storeu_pd(prod.as_mut_ptr(), _mm256_mul_pd(fv, v));
-            for (lane, &p) in prod.iter().enumerate() {
-                *w.get_unchecked_mut(*cols.get_unchecked(q + lane)) -= p;
-            }
-            q += 4;
-        }
-        while q < n {
-            *w.get_unchecked_mut(*cols.get_unchecked(q)) -= f * *vals.get_unchecked(q);
-            q += 1;
-        }
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn scatter_caxpy_sub(
-        w: &mut [Complex],
-        cols: &[usize],
-        vals: &[Complex],
-        f: Complex,
-    ) {
-        let n = vals.len();
-        let vp = vals.as_ptr().cast::<f64>();
-        let fre = _mm256_set1_pd(f.re);
-        let fim = _mm256_set1_pd(f.im);
-        let mut prod = [0.0f64; 4]; // two products, interleaved [r0, i0, r1, i1]
-        let mut q = 0usize;
-        while q + 2 <= n {
-            let v = _mm256_loadu_pd(vp.add(2 * q));
-            let t1 = _mm256_mul_pd(fre, v);
-            let vs = _mm256_permute_pd(v, 0b0101);
-            let t2 = _mm256_mul_pd(fim, vs);
-            _mm256_storeu_pd(prod.as_mut_ptr(), _mm256_addsub_pd(t1, t2));
-            for lane in 0..2 {
-                let o = w.get_unchecked_mut(*cols.get_unchecked(q + lane));
-                o.re -= prod[2 * lane];
-                o.im -= prod[2 * lane + 1];
-            }
-            q += 2;
-        }
-        while q < n {
-            let o = w.get_unchecked_mut(*cols.get_unchecked(q));
-            *o -= f * *vals.get_unchecked(q);
-            q += 1;
-        }
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn lane_cmul_sub(
-        dr: &mut [f64],
-        di: &mut [f64],
-        ar: &[f64],
-        ai: &[f64],
-        br: &[f64],
-        bi: &[f64],
-    ) {
-        let n = dr.len();
-        let mut l = 0usize;
-        while l + 4 <= n {
-            let var = _mm256_loadu_pd(ar.as_ptr().add(l));
-            let vai = _mm256_loadu_pd(ai.as_ptr().add(l));
-            let vbr = _mm256_loadu_pd(br.as_ptr().add(l));
-            let vbi = _mm256_loadu_pd(bi.as_ptr().add(l));
-            let pr = _mm256_sub_pd(_mm256_mul_pd(var, vbr), _mm256_mul_pd(vai, vbi));
-            let pi = _mm256_add_pd(_mm256_mul_pd(var, vbi), _mm256_mul_pd(vai, vbr));
-            let vdr = _mm256_loadu_pd(dr.as_ptr().add(l));
-            let vdi = _mm256_loadu_pd(di.as_ptr().add(l));
-            _mm256_storeu_pd(dr.as_mut_ptr().add(l), _mm256_sub_pd(vdr, pr));
-            _mm256_storeu_pd(di.as_mut_ptr().add(l), _mm256_sub_pd(vdi, pi));
-            l += 4;
-        }
-        while l < n {
-            let pr = ar[l] * br[l] - ai[l] * bi[l];
-            let pi = ar[l] * bi[l] + ai[l] * br[l];
-            dr[l] -= pr;
-            di[l] -= pi;
-            l += 1;
-        }
-    }
-
     /// Four-lane Smith division `(ar + i·ai) / (br + i·bi)`, bit-identical
     /// per lane to `Complex::div`'s branchy scalar code by blending
     /// *operands* on the branch predicate `|br| ≥ |bi|` (one rounded op
@@ -1179,102 +751,8 @@ mod avx2 {
     }
 
     #[target_feature(enable = "avx2")]
-    pub unsafe fn lane_cdiv(
-        qr: &mut [f64],
-        qi: &mut [f64],
-        ar: &[f64],
-        ai: &[f64],
-        br: &[f64],
-        bi: &[f64],
-    ) {
-        let n = qr.len();
-        let zero = _mm256_setzero_pd();
-        let mut l = 0usize;
-        while l + 4 <= n {
-            let var = _mm256_loadu_pd(ar.as_ptr().add(l));
-            let vai = _mm256_loadu_pd(ai.as_ptr().add(l));
-            let vbr = _mm256_loadu_pd(br.as_ptr().add(l));
-            let vbi = _mm256_loadu_pd(bi.as_ptr().add(l));
-            let (q_re, q_im) = smith4(var, vai, vbr, vbi);
-            _mm256_storeu_pd(qr.as_mut_ptr().add(l), q_re);
-            _mm256_storeu_pd(qi.as_mut_ptr().add(l), q_im);
-            // Exact-zero denominators short-circuit in the scalar code
-            // (divide by literal +0.0); patch those lanes to match.
-            let zmask = _mm256_and_pd(
-                _mm256_cmp_pd::<_CMP_EQ_OQ>(vbr, zero),
-                _mm256_cmp_pd::<_CMP_EQ_OQ>(vbi, zero),
-            );
-            let zm = _mm256_movemask_pd(zmask);
-            if zm != 0 {
-                for lane in 0..4 {
-                    if zm & (1 << lane) != 0 {
-                        qr[l + lane] = ar[l + lane] / 0.0;
-                        qi[l + lane] = ai[l + lane] / 0.0;
-                    }
-                }
-            }
-            l += 4;
-        }
-        while l < n {
-            let q = Complex::new(ar[l], ai[l]) / Complex::new(br[l], bi[l]);
-            qr[l] = q.re;
-            qi[l] = q.im;
-            l += 1;
-        }
-    }
-
-    #[target_feature(enable = "avx2")]
     #[allow(clippy::too_many_arguments)]
-    pub unsafe fn lane_eliminate_row(
-        w_re: &mut [f64],
-        w_im: &mut [f64],
-        jm: usize,
-        dp: usize,
-        cols: &[usize],
-        p0: usize,
-        f_re: &[f64],
-        f_im: &[f64],
-        lanes: usize,
-    ) {
-        debug_assert!(lanes % 4 == 0 && lanes <= super::MAX_LANES);
-        // Multiplier lanes: f = w[j] / pivot, kept in registers across the
-        // row (≤ 2 register pairs at MAX_LANES = 8). Pivots exclude exact
-        // zero, so smith4 needs no patch.
-        let groups = lanes / 4;
-        let mut fr = [_mm256_setzero_pd(); super::MAX_LANES / 4];
-        let mut fi = [_mm256_setzero_pd(); super::MAX_LANES / 4];
-        for g in 0..groups {
-            let o = 4 * g;
-            let wr = _mm256_loadu_pd(w_re[jm + o..jm + o + 4].as_ptr());
-            let wi = _mm256_loadu_pd(w_im[jm + o..jm + o + 4].as_ptr());
-            let pr = _mm256_loadu_pd(f_re[dp + o..dp + o + 4].as_ptr());
-            let pi = _mm256_loadu_pd(f_im[dp + o..dp + o + 4].as_ptr());
-            let (qr, qi) = smith4(wr, wi, pr, pi);
-            _mm256_storeu_pd(w_re[jm + o..jm + o + 4].as_mut_ptr(), qr);
-            _mm256_storeu_pd(w_im[jm + o..jm + o + 4].as_mut_ptr(), qi);
-            fr[g] = qr;
-            fi[g] = qi;
-        }
-        for (q, &c) in cols.iter().enumerate() {
-            let cm = c * lanes;
-            let p = p0 + q * lanes;
-            for g in 0..groups {
-                let o = 4 * g;
-                let br = _mm256_loadu_pd(f_re[p + o..p + o + 4].as_ptr());
-                let bi = _mm256_loadu_pd(f_im[p + o..p + o + 4].as_ptr());
-                let pr = _mm256_sub_pd(_mm256_mul_pd(fr[g], br), _mm256_mul_pd(fi[g], bi));
-                let pi = _mm256_add_pd(_mm256_mul_pd(fr[g], bi), _mm256_mul_pd(fi[g], br));
-                let dr = _mm256_loadu_pd(w_re[cm + o..cm + o + 4].as_ptr());
-                let di = _mm256_loadu_pd(w_im[cm + o..cm + o + 4].as_ptr());
-                _mm256_storeu_pd(w_re[cm + o..cm + o + 4].as_mut_ptr(), _mm256_sub_pd(dr, pr));
-                _mm256_storeu_pd(w_im[cm + o..cm + o + 4].as_mut_ptr(), _mm256_sub_pd(di, pi));
-            }
-        }
-    }
-
-    #[target_feature(enable = "avx2")]
-    #[allow(clippy::too_many_arguments)]
-    pub unsafe fn lane_fwd_row(
+    unsafe fn lane_fwd_row(
         y_re: &mut [f64],
         y_im: &mut [f64],
         im: usize,
@@ -1314,7 +792,7 @@ mod avx2 {
 
     #[target_feature(enable = "avx2")]
     #[allow(clippy::too_many_arguments)]
-    pub unsafe fn lane_bwd_row(
+    unsafe fn lane_bwd_row(
         y_re: &mut [f64],
         y_im: &mut [f64],
         im: usize,
@@ -1694,98 +1172,6 @@ mod neon {
         }
     }
 
-    pub fn scatter_add_scaled(out: &mut [Complex], slots: &[usize], vals: &[f64], s: Complex) {
-        let n = vals.len();
-        // SAFETY: slot bounds are checked by the indexed accumulation below.
-        unsafe {
-            let sre = vdupq_n_f64(s.re);
-            let sim = vdupq_n_f64(s.im);
-            let mut pre = [0.0f64; 2];
-            let mut pim = [0.0f64; 2];
-            let mut k = 0usize;
-            while k + 2 <= n {
-                let v = vld1q_f64(vals.as_ptr().add(k));
-                vst1q_f64(pre.as_mut_ptr(), vmulq_f64(sre, v));
-                vst1q_f64(pim.as_mut_ptr(), vmulq_f64(sim, v));
-                for lane in 0..2 {
-                    let o = &mut out[slots[k + lane]];
-                    o.re += pre[lane];
-                    o.im += pim[lane];
-                }
-                k += 2;
-            }
-            while k < n {
-                out[slots[k]] += s * vals[k];
-                k += 1;
-            }
-        }
-    }
-
-    pub fn scatter_axpy_sub(w: &mut [f64], cols: &[usize], vals: &[f64], f: f64) {
-        let n = vals.len();
-        // SAFETY: column bounds are checked by the indexed subtraction below.
-        unsafe {
-            let fv = vdupq_n_f64(f);
-            let mut prod = [0.0f64; 2];
-            let mut q = 0usize;
-            while q + 2 <= n {
-                let v = vld1q_f64(vals.as_ptr().add(q));
-                vst1q_f64(prod.as_mut_ptr(), vmulq_f64(fv, v));
-                for lane in 0..2 {
-                    w[cols[q + lane]] -= prod[lane];
-                }
-                q += 2;
-            }
-            while q < n {
-                w[cols[q]] -= f * vals[q];
-                q += 1;
-            }
-        }
-    }
-
-    pub fn scatter_caxpy_sub(w: &mut [Complex], cols: &[usize], vals: &[Complex], f: Complex) {
-        // One 128-bit vector per complex product; the scattered subtraction
-        // is scalar either way, so reuse the caxpy product path per entry.
-        for (&c, &v) in cols.iter().zip(vals) {
-            w[c] -= f * v;
-        }
-    }
-
-    pub fn lane_cmul_sub(
-        dr: &mut [f64],
-        di: &mut [f64],
-        ar: &[f64],
-        ai: &[f64],
-        br: &[f64],
-        bi: &[f64],
-    ) {
-        let n = dr.len();
-        // SAFETY: all six slices share length n (asserted by the caller).
-        unsafe {
-            let mut l = 0usize;
-            while l + 2 <= n {
-                let var = vld1q_f64(ar.as_ptr().add(l));
-                let vai = vld1q_f64(ai.as_ptr().add(l));
-                let vbr = vld1q_f64(br.as_ptr().add(l));
-                let vbi = vld1q_f64(bi.as_ptr().add(l));
-                let pr = vsubq_f64(vmulq_f64(var, vbr), vmulq_f64(vai, vbi));
-                let pi = vaddq_f64(vmulq_f64(var, vbi), vmulq_f64(vai, vbr));
-                let vdr = vld1q_f64(dr.as_ptr().add(l));
-                let vdi = vld1q_f64(di.as_ptr().add(l));
-                vst1q_f64(dr.as_mut_ptr().add(l), vsubq_f64(vdr, pr));
-                vst1q_f64(di.as_mut_ptr().add(l), vsubq_f64(vdi, pi));
-                l += 2;
-            }
-            while l < n {
-                let pr = ar[l] * br[l] - ai[l] * bi[l];
-                let pi = ar[l] * bi[l] + ai[l] * br[l];
-                dr[l] -= pr;
-                di[l] -= pi;
-                l += 1;
-            }
-        }
-    }
-
     /// Two-lane Smith division, bit-identical per lane to `Complex::div`'s
     /// branchy scalar code via operand blends on `|br| ≥ |bi|` (see the
     /// AVX2 `smith4` notes). Does **not** reproduce the exact-zero
@@ -1816,99 +1202,8 @@ mod neon {
         (vdivq_f64(num_re, d), vdivq_f64(num_im, d))
     }
 
-    pub fn lane_cdiv(
-        qr: &mut [f64],
-        qi: &mut [f64],
-        ar: &[f64],
-        ai: &[f64],
-        br: &[f64],
-        bi: &[f64],
-    ) {
-        let n = qr.len();
-        // SAFETY: all six slices share length n (asserted by the caller).
-        unsafe {
-            let zero = vdupq_n_f64(0.0);
-            let mut l = 0usize;
-            while l + 2 <= n {
-                let var = vld1q_f64(ar.as_ptr().add(l));
-                let vai = vld1q_f64(ai.as_ptr().add(l));
-                let vbr = vld1q_f64(br.as_ptr().add(l));
-                let vbi = vld1q_f64(bi.as_ptr().add(l));
-                let (q_re, q_im) = smith2(var, vai, vbr, vbi);
-                vst1q_f64(qr.as_mut_ptr().add(l), q_re);
-                vst1q_f64(qi.as_mut_ptr().add(l), q_im);
-                // Exact-zero denominators: patch to the scalar short-circuit
-                // (divide by literal +0.0).
-                let zmask = vandq_u64(vceqq_f64(vbr, zero), vceqq_f64(vbi, zero));
-                if vgetq_lane_u64(zmask, 0) != 0 {
-                    qr[l] = ar[l] / 0.0;
-                    qi[l] = ai[l] / 0.0;
-                }
-                if vgetq_lane_u64(zmask, 1) != 0 {
-                    qr[l + 1] = ar[l + 1] / 0.0;
-                    qi[l + 1] = ai[l + 1] / 0.0;
-                }
-                l += 2;
-            }
-            while l < n {
-                let q = Complex::new(ar[l], ai[l]) / Complex::new(br[l], bi[l]);
-                qr[l] = q.re;
-                qi[l] = q.im;
-                l += 1;
-            }
-        }
-    }
-
     #[allow(clippy::too_many_arguments)]
-    pub fn lane_eliminate_row(
-        w_re: &mut [f64],
-        w_im: &mut [f64],
-        jm: usize,
-        dp: usize,
-        cols: &[usize],
-        p0: usize,
-        f_re: &[f64],
-        f_im: &[f64],
-        lanes: usize,
-    ) {
-        debug_assert!(lanes % 2 == 0 && lanes <= super::MAX_LANES);
-        let groups = lanes / 2;
-        // SAFETY: slice indexing bounds-checks every vector load/store span.
-        unsafe {
-            let mut fr = [vdupq_n_f64(0.0); super::MAX_LANES / 2];
-            let mut fi = [vdupq_n_f64(0.0); super::MAX_LANES / 2];
-            for g in 0..groups {
-                let o = 2 * g;
-                let wr = vld1q_f64(w_re[jm + o..jm + o + 2].as_ptr());
-                let wi = vld1q_f64(w_im[jm + o..jm + o + 2].as_ptr());
-                let pr = vld1q_f64(f_re[dp + o..dp + o + 2].as_ptr());
-                let pi = vld1q_f64(f_im[dp + o..dp + o + 2].as_ptr());
-                let (qr, qi) = smith2(wr, wi, pr, pi);
-                vst1q_f64(w_re[jm + o..jm + o + 2].as_mut_ptr(), qr);
-                vst1q_f64(w_im[jm + o..jm + o + 2].as_mut_ptr(), qi);
-                fr[g] = qr;
-                fi[g] = qi;
-            }
-            for (q, &c) in cols.iter().enumerate() {
-                let cm = c * lanes;
-                let p = p0 + q * lanes;
-                for g in 0..groups {
-                    let o = 2 * g;
-                    let br = vld1q_f64(f_re[p + o..p + o + 2].as_ptr());
-                    let bi = vld1q_f64(f_im[p + o..p + o + 2].as_ptr());
-                    let pr = vsubq_f64(vmulq_f64(fr[g], br), vmulq_f64(fi[g], bi));
-                    let pi = vaddq_f64(vmulq_f64(fr[g], bi), vmulq_f64(fi[g], br));
-                    let dr = vld1q_f64(w_re[cm + o..cm + o + 2].as_ptr());
-                    let di = vld1q_f64(w_im[cm + o..cm + o + 2].as_ptr());
-                    vst1q_f64(w_re[cm + o..cm + o + 2].as_mut_ptr(), vsubq_f64(dr, pr));
-                    vst1q_f64(w_im[cm + o..cm + o + 2].as_mut_ptr(), vsubq_f64(di, pi));
-                }
-            }
-        }
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    pub fn lane_fwd_row(
+    fn lane_fwd_row(
         y_re: &mut [f64],
         y_im: &mut [f64],
         im: usize,
@@ -1950,7 +1245,7 @@ mod neon {
     }
 
     #[allow(clippy::too_many_arguments)]
-    pub fn lane_bwd_row(
+    fn lane_bwd_row(
         y_re: &mut [f64],
         y_im: &mut [f64],
         im: usize,
@@ -2306,114 +1601,6 @@ mod tests {
             for (x, y) in a.iter().zip(&b) {
                 assert_eq!(bits(x.re), bits(y.re), "n={n}");
                 assert_eq!(bits(x.im), bits(y.im), "n={n}");
-            }
-        }
-    }
-
-    #[test]
-    fn scatter_kernels_match_scalar_bitwise() {
-        let slots: Vec<usize> = vec![0, 3, 1, 3, 2, 0, 4, 4, 1, 0, 2];
-        let vals: Vec<f64> = (0..slots.len()).map(|k| 0.1 + k as f64 * 0.37).collect();
-        let s = Complex::new(0.25, -1.5);
-
-        let mut a = vec![Complex::ZERO; 5];
-        let mut b = vec![Complex::ZERO; 5];
-        scatter_add_scaled(&mut a, &slots, &vals, s);
-        scatter_add_scaled_scalar(&mut b, &slots, &vals, s);
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!(bits(x.re), bits(y.re));
-            assert_eq!(bits(x.im), bits(y.im));
-        }
-
-        let mut wa: Vec<f64> = (0..6).map(|i| i as f64 * 0.5).collect();
-        let mut wb = wa.clone();
-        let cols = [5usize, 1, 4, 0, 2, 3, 1];
-        let fv: Vec<f64> = (0..cols.len()).map(|k| (k as f64 + 0.5) * -0.3).collect();
-        scatter_axpy_sub(&mut wa, &cols, &fv, 1.75);
-        scatter_axpy_sub_scalar(&mut wb, &cols, &fv, 1.75);
-        for (x, y) in wa.iter().zip(&wb) {
-            assert_eq!(bits(*x), bits(*y));
-        }
-
-        let mut ca: Vec<Complex> = (0..6)
-            .map(|i| Complex::new(i as f64, -(i as f64)))
-            .collect();
-        let mut cb = ca.clone();
-        let cvals: Vec<Complex> = (0..cols.len())
-            .map(|k| Complex::new(0.2 * k as f64, 1.0 - 0.1 * k as f64))
-            .collect();
-        let f = Complex::new(-0.8, 0.45);
-        scatter_caxpy_sub(&mut ca, &cols, &cvals, f);
-        scatter_caxpy_sub_scalar(&mut cb, &cols, &cvals, f);
-        for (x, y) in ca.iter().zip(&cb) {
-            assert_eq!(bits(x.re), bits(y.re));
-            assert_eq!(bits(x.im), bits(y.im));
-        }
-    }
-
-    #[test]
-    fn lane_cdiv_matches_scalar_bitwise() {
-        // Mixed magnitudes exercise both Smith branches; lanes with exact
-        // zero (±0), negative-zero and NaN denominators exercise the
-        // short-circuit/unordered paths; 1e-310 exercises subnormals.
-        let ar = [1.5, -2.0, 0.3, 1e120, -1e-310, 7.0, 0.0, 3.25, -0.5];
-        let ai = [-0.25, 4.0, -1e-310, 2.5, 1e100, -0.125, 1.0, 0.0, 2.0];
-        let br = [3.0, 1e-3, 0.0, -0.0, 1e-310, f64::NAN, 2.0, -4.0, 0.5];
-        let bi = [0.5, -2e3, 0.0, 0.0, -2e-310, 1.0, f64::NAN, 1e-300, -0.5];
-        let n = ar.len();
-        for len in [0usize, 1, 2, 3, 4, 5, 7, n] {
-            let mut qr1 = vec![0.0f64; len];
-            let mut qi1 = vec![0.0f64; len];
-            let mut qr2 = vec![0.0f64; len];
-            let mut qi2 = vec![0.0f64; len];
-            lane_cdiv(
-                &mut qr1,
-                &mut qi1,
-                &ar[..len],
-                &ai[..len],
-                &br[..len],
-                &bi[..len],
-            );
-            lane_cdiv_scalar(
-                &mut qr2,
-                &mut qi2,
-                &ar[..len],
-                &ai[..len],
-                &br[..len],
-                &bi[..len],
-            );
-            for l in 0..len {
-                assert_eq!(bits(qr1[l]), bits(qr2[l]), "len={len} l={l} re");
-                assert_eq!(bits(qi1[l]), bits(qi2[l]), "len={len} l={l} im");
-            }
-        }
-        // And against the Complex operator directly.
-        let mut qr = vec![0.0f64; n];
-        let mut qi = vec![0.0f64; n];
-        lane_cdiv(&mut qr, &mut qi, &ar, &ai, &br, &bi);
-        for l in 0..n {
-            let q = Complex::new(ar[l], ai[l]) / Complex::new(br[l], bi[l]);
-            assert_eq!(bits(qr[l]), bits(q.re), "l={l} re");
-            assert_eq!(bits(qi[l]), bits(q.im), "l={l} im");
-        }
-    }
-
-    #[test]
-    fn lane_cmul_sub_matches_scalar_bitwise() {
-        for n in [1usize, 2, 3, 4, 5, 8] {
-            let ar: Vec<f64> = (0..n).map(|l| 0.3 + l as f64).collect();
-            let ai: Vec<f64> = (0..n).map(|l| -1.2 * l as f64).collect();
-            let br: Vec<f64> = (0..n).map(|l| (l as f64).cos()).collect();
-            let bi: Vec<f64> = (0..n).map(|l| (l as f64 * 2.0).sin()).collect();
-            let mut dr1: Vec<f64> = (0..n).map(|l| l as f64 * 0.7).collect();
-            let mut di1: Vec<f64> = (0..n).map(|l| 1.0 - l as f64).collect();
-            let mut dr2 = dr1.clone();
-            let mut di2 = di1.clone();
-            lane_cmul_sub(&mut dr1, &mut di1, &ar, &ai, &br, &bi);
-            lane_cmul_sub_scalar(&mut dr2, &mut di2, &ar, &ai, &br, &bi);
-            for l in 0..n {
-                assert_eq!(bits(dr1[l]), bits(dr2[l]), "n={n} l={l}");
-                assert_eq!(bits(di1[l]), bits(di2[l]), "n={n} l={l}");
             }
         }
     }

@@ -286,11 +286,9 @@ impl CCsrMatrix {
         self.vals[slot] += v;
     }
 
-    /// Accumulates `s · vals[k]` into slot `slots[k]` for every `k` — the
-    /// per-sample replay of `s`-scaled capacitive entries, through
-    /// [`crate::simd::scatter_add_scaled`]: the complex products are formed
-    /// SIMD-wide before the scattered accumulation; order matches the
-    /// scalar loop, so results are bit-identical.
+    /// Accumulates `s · vals[k]` into slot `slots[k]` for every `k`, in
+    /// order — the per-sample replay of `s`-scaled capacitive entries,
+    /// through [`crate::simd::scatter_add_scaled`].
     ///
     /// # Panics
     /// Panics if `slots` and `vals` differ in length or a slot is out of
@@ -753,11 +751,6 @@ trait Scalar:
     /// short-circuits the `hypot` for every healthy pivot (the common
     /// case by ~every pivot of a well-posed system).
     fn mag_ge(self, t: f64) -> bool;
-    /// `w[cols[q]] -= f · vals[q]` — the elimination inner update, routed
-    /// through the SIMD dispatch (product formation vectorized, scattered
-    /// subtraction in scalar program order; bit-identical to the plain
-    /// loop).
-    fn scatter_axpy_sub(w: &mut [Self], cols: &[usize], vals: &[Self], f: Self);
 }
 
 impl Scalar for f64 {
@@ -769,10 +762,6 @@ impl Scalar for f64 {
     #[inline]
     fn mag_ge(self, t: f64) -> bool {
         self.abs() >= t
-    }
-    #[inline]
-    fn scatter_axpy_sub(w: &mut [f64], cols: &[usize], vals: &[f64], f: f64) {
-        crate::simd::scatter_axpy_sub(w, cols, vals, f);
     }
 }
 
@@ -788,10 +777,6 @@ impl Scalar for Complex {
         // (2× margin absorbs hypot rounding) without the hypot call; only
         // borderline pivots fall through to the exact norm.
         self.re.abs() > 2.0 * t || self.im.abs() > 2.0 * t || self.norm() >= t
-    }
-    #[inline]
-    fn scatter_axpy_sub(w: &mut [Complex], cols: &[usize], vals: &[Complex], f: Complex) {
-        crate::simd::scatter_caxpy_sub(w, cols, vals, f);
     }
 }
 
@@ -830,7 +815,9 @@ fn factor_core<T: Scalar>(
             let f = w[j] / fvals[sym.f_diag[j]];
             w[j] = f;
             let (d, e) = (sym.f_diag[j] + 1, sym.f_row_ptr[j + 1]);
-            T::scatter_axpy_sub(w, &sym.f_col[d..e], &fvals[d..e], f);
+            for (&c, &v) in sym.f_col[d..e].iter().zip(&fvals[d..e]) {
+                w[c] -= f * v;
+            }
         }
         for pos in start..end {
             fvals[pos] = w[sym.f_col[pos]];
@@ -1030,9 +1017,11 @@ const ML: usize = crate::simd::MAX_LANES;
 /// memory walks that are identical across samples. Splitting values into
 /// re/im lane arrays (position-major, lane-minor, stride = the batch's
 /// actual lane count so partial batches touch proportionally less memory)
-/// makes the inner elimination update a contiguous
-/// [`crate::simd::lane_cmul_sub`] and the multiplier/pivot divisions a
-/// [`crate::simd::lane_cdiv`] over lanes.
+/// lets assembly, the whole schedule-driven elimination and the two
+/// substitutions each run behind one SIMD dispatch
+/// ([`crate::simd::lane_assemble`], [`crate::simd::lane_factor_rows`],
+/// [`crate::simd::lane_fwd_all`], [`crate::simd::lane_bwd_all`]), with the
+/// complex multiply-subtracts and Smith divisions vectorized across lanes.
 ///
 /// **Bit-identity:** every lane reproduces the serial
 /// [`CSparseLu::factor_into`] / [`CSparseLu::solve_into`] /
