@@ -98,11 +98,6 @@ impl StageModel {
         self.levels() - 1
     }
 
-    /// The nonideality model.
-    pub fn nonideality(&self) -> &StageNonideality {
-        &self.nonideal
-    }
-
     /// Largest digit magnitude `2^{m−1} − 1`.
     fn dmax(&self) -> i32 {
         (1i32 << (self.bits - 1)) - 1

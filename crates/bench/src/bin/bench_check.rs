@@ -16,14 +16,13 @@
 //! `bench_eval` on a quiet machine and commit the refreshed numbers
 //! whenever a PR moves throughput on purpose.
 
+use adc_topopt::wire::JsonValue;
 use std::process::ExitCode;
 
 /// Largest tolerated fractional throughput drop per metric (CI runners are
-/// noisy; the trajectory in EXPERIMENTS.md tracks the finer grain).
-/// Override with `BENCH_CHECK_MAX_REGRESSION` (a fraction, e.g. `0.5`) —
-/// the baseline records absolute evals/s, so a slower runner *class* than
-/// the one that produced it needs either a refreshed baseline or a wider
-/// gate.
+/// noisy; the trajectory in EXPERIMENTS.md tracks the finer grain). The
+/// baseline records absolute evals/s, so a slower runner *class* than the
+/// one that produced it needs a refreshed baseline.
 const MAX_REGRESSION: f64 = 0.30;
 
 /// Metrics that are **deterministic measurements**, not throughput: they
@@ -45,15 +44,6 @@ const EXACT_TOLERANCE: f64 = 0.02;
 /// format; the name says what the number means.
 const INVERTED_METRICS: [&str; 2] = ["serve_p50_ms", "serve_p99_ms"];
 
-/// Resolves the gate width: env override or [`MAX_REGRESSION`].
-fn max_regression() -> f64 {
-    std::env::var("BENCH_CHECK_MAX_REGRESSION")
-        .ok()
-        .and_then(|v| v.parse::<f64>().ok())
-        .filter(|v| (0.0..1.0).contains(v))
-        .unwrap_or(MAX_REGRESSION)
-}
-
 /// One `"name": { "evals_per_sec": X, "evals": N }` row of the report.
 #[derive(Debug, Clone, PartialEq)]
 struct Row {
@@ -61,44 +51,25 @@ struct Row {
     evals_per_sec: f64,
 }
 
-/// Parses the flat single-object JSON emitted by `bench_eval`. Not a
-/// general JSON parser — it reads exactly the format this workspace
-/// writes, keeping the gate dependency-free.
+/// Parses a report written by `bench_eval` or `bench_serve`: one JSON
+/// object whose members are the rows.
 fn parse_report(text: &str) -> Result<Vec<Row>, String> {
-    let mut rows = Vec::new();
-    for line in text.lines() {
-        let line = line.trim();
-        if !line.contains("evals_per_sec") {
-            continue;
-        }
-        let name = line
-            .split('"')
-            .nth(1)
-            .ok_or_else(|| format!("malformed row: {line}"))?
-            .to_string();
-        let after = line
-            .split("\"evals_per_sec\":")
-            .nth(1)
-            .ok_or_else(|| format!("malformed row: {line}"))?;
-        let num: String = after
-            .chars()
-            .skip_while(|c| c.is_whitespace())
-            .take_while(|c| {
-                c.is_ascii_digit() || *c == '.' || *c == '-' || *c == 'e' || *c == 'E' || *c == '+'
-            })
-            .collect();
-        let evals_per_sec: f64 = num
-            .parse()
-            .map_err(|e| format!("bad number {num:?} in row {name}: {e}"))?;
-        rows.push(Row {
-            name,
-            evals_per_sec,
-        });
-    }
-    if rows.is_empty() {
+    let JsonValue::Obj(members) = JsonValue::parse(text).map_err(|e| e.to_string())? else {
+        return Err("report is not a JSON object".into());
+    };
+    if members.is_empty() {
         return Err("no metrics found".into());
     }
-    Ok(rows)
+    members
+        .iter()
+        .map(|(name, row)| match row.get("evals_per_sec") {
+            Some(JsonValue::Num(evals_per_sec)) => Ok(Row {
+                name: name.clone(),
+                evals_per_sec: *evals_per_sec,
+            }),
+            _ => Err(format!("row {name} has no numeric evals_per_sec")),
+        })
+        .collect()
 }
 
 /// Outcome of comparing one metric across the two reports.
@@ -185,15 +156,14 @@ fn main() -> ExitCode {
         }
     };
 
-    let max_regression = max_regression();
     println!(
         "### Evaluator-throughput regression gate (≤ {:.0} % drop allowed)",
-        max_regression * 100.0
+        MAX_REGRESSION * 100.0
     );
     println!();
     println!("| metric | baseline (evals/s) | current (evals/s) | delta | gate |");
     println!("|---|---:|---:|---:|---|");
-    let verdicts = evaluate_gate(&baseline, &current, max_regression);
+    let verdicts = evaluate_gate(&baseline, &current, MAX_REGRESSION);
     for (name, verdict) in &verdicts {
         let base = baseline.iter().find(|b| &b.name == name);
         let cur = current.iter().find(|c| &c.name == name);
@@ -218,7 +188,7 @@ fn main() -> ExitCode {
     if failed.is_empty() {
         println!(
             "All gated metrics within {:.0} % of baseline.",
-            max_regression * 100.0
+            MAX_REGRESSION * 100.0
         );
         ExitCode::SUCCESS
     } else {
@@ -264,9 +234,9 @@ mod tests {
         assert!(err.contains("/nonexistent/BENCH_EVAL.json"), "{err}");
     }
 
-    /// A truncated report (interrupted bench run) fails cleanly: rows cut
-    /// off mid-number parse or the file yields no metrics, and the
-    /// diagnostic names the file.
+    /// A truncated report (interrupted bench run) fails cleanly: a document
+    /// cut off mid-row does not parse, an empty object yields no metrics,
+    /// and the diagnostic names the file.
     #[test]
     fn truncated_report_fails_cleanly() {
         let dir = std::env::temp_dir().join("bench_check_truncated_test");
@@ -276,8 +246,8 @@ mod tests {
         std::fs::write(&path, "{\n  \"dc_solve\": { \"evals_per_sec\": ").unwrap();
         let err = load_report(path.to_str().unwrap()).unwrap_err();
         assert!(err.contains("BENCH_EVAL.json"), "{err}");
-        // Cut before any row: parses to zero metrics.
-        std::fs::write(&path, "{\n").unwrap();
+        // An empty report: parses to zero metrics.
+        std::fs::write(&path, "{}\n").unwrap();
         let err = load_report(path.to_str().unwrap()).unwrap_err();
         assert!(err.contains("no metrics found"), "{err}");
         std::fs::remove_dir_all(&dir).ok();

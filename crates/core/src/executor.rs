@@ -19,10 +19,7 @@
 //! can no longer cascade: every lock acquisition recovers from poisoning
 //! via [`PoisonError::into_inner`], so the first failure is the one
 //! reported, not a secondary `PoisonError` unwind.
-//!
-//! [`run_dag`] keeps the original panic-propagating contract (it is a thin
-//! wrapper that re-raises the first recorded failure) for callers that
-//! treat any failure as fatal.
+
 //!
 //! ## Determinism contract
 //!
@@ -132,14 +129,6 @@ pub enum BlockOutcome<R> {
 impl<R> BlockOutcome<R> {
     /// The result, if the block succeeded.
     pub fn ok(&self) -> Option<&R> {
-        match self {
-            BlockOutcome::Ok(r) => Some(r),
-            BlockOutcome::Failed(_) => None,
-        }
-    }
-
-    /// The result by value, if the block succeeded.
-    pub fn into_ok(self) -> Option<R> {
         match self {
             BlockOutcome::Ok(r) => Some(r),
             BlockOutcome::Failed(_) => None,
@@ -326,35 +315,22 @@ where
     task(idx, warm)
 }
 
-/// Runs `task(i, warm)` for every `i < deps.len()`, where `warm` is the
-/// result of task `deps[i]` (`None` for root tasks), spawning each task the
-/// moment its dependency completes. Returns the results in task order.
-///
-/// This is the all-or-nothing wrapper over [`run_dag_outcomes`]: any
-/// recorded failure (panic included) is re-raised here, after the rest of
-/// the DAG has drained.
-///
-/// # Panics
-/// Panics if a dependency is not strictly earlier than its task, or
-/// if any task panics (the first recorded failure is re-raised).
-pub fn run_dag<R, F>(deps: &[Option<usize>], opts: &ExecutorOptions, task: F) -> Vec<R>
-where
-    R: Clone + Send,
-    F: Fn(usize, Option<&R>) -> R + Sync,
-{
-    run_dag_outcomes(deps, opts, |i, warm| Ok(task(i, warm)))
-        .into_iter()
-        .map(|outcome| match outcome {
-            BlockOutcome::Ok(r) => r,
-            BlockOutcome::Failed(f) => panic!("{}", f.message),
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
+
+    /// [`run_dag_outcomes`] over tasks that cannot fail, unwrapped.
+    fn run_dag<R, F>(deps: &[Option<usize>], opts: &ExecutorOptions, task: F) -> Vec<R>
+    where
+        R: Clone + Send,
+        F: Fn(usize, Option<&R>) -> R + Sync,
+    {
+        run_dag_outcomes(deps, opts, |i, warm| Ok(task(i, warm)))
+            .into_iter()
+            .map(|outcome| outcome.ok().cloned().expect("infallible task"))
+            .collect()
+    }
 
     /// A synthetic "synthesis": result encodes the whole warm chain, so any
     /// scheduling error shows up as a wrong value somewhere.
@@ -430,24 +406,6 @@ mod tests {
     fn empty_dag_is_fine() {
         let out: Vec<u8> = run_dag(&[], &ExecutorOptions::default(), |_, _| 0);
         assert!(out.is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "block 5 exploded")]
-    fn task_panics_propagate() {
-        let deps: Vec<Option<usize>> = (0..8)
-            .map(|i| if i == 0 { None } else { Some(i - 1) })
-            .collect();
-        run_dag(
-            &deps,
-            &ExecutorOptions::with_threads(2),
-            |i, w: Option<&usize>| {
-                if i == 5 {
-                    panic!("block 5 exploded");
-                }
-                w.copied().unwrap_or(0) + 1
-            },
-        );
     }
 
     #[test]

@@ -44,18 +44,6 @@ impl TopologyReport {
     }
 }
 
-/// Flattened summary row (plain strings and numbers, ready for the
-/// `report` module's text/CSV emitters).
-#[derive(Debug, Clone)]
-pub struct SummaryRow {
-    /// Configuration label, e.g. `"4-3-2"`.
-    pub config: String,
-    /// Per-stage power, mW.
-    pub stage_power_mw: Vec<f64>,
-    /// Total power, mW.
-    pub total_power_mw: f64,
-}
-
 fn evaluate_candidate(
     spec: &AdcSpec,
     params: &PowerModelParams,
@@ -90,19 +78,6 @@ pub fn optimize_topology(spec: &AdcSpec, params: &PowerModelParams) -> TopologyR
     }
 }
 
-/// Flattened summary of a report.
-pub fn summarize(report: &TopologyReport) -> Vec<SummaryRow> {
-    report
-        .rows
-        .iter()
-        .map(|r| SummaryRow {
-            config: r.candidate.to_string(),
-            stage_power_mw: r.stage_power.iter().map(|p| p * 1e3).collect(),
-            total_power_mw: r.total_power * 1e3,
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -117,6 +92,14 @@ mod tests {
         let r = optimize_topology(&AdcSpec::date05(13), &params());
         assert_eq!(r.best().candidate.to_string(), "4-3-2");
         assert_eq!(r.rows.len(), 7);
+        assert!(r
+            .rows
+            .windows(2)
+            .all(|w| w[0].total_power <= w[1].total_power));
+        assert!(r
+            .rows
+            .iter()
+            .all(|row| row.stage_power.len() == row.stages.len()));
     }
 
     /// Fig. 2's optima across resolutions: 3-2, 4-2, 4-2-2, 4-3-2.
@@ -181,15 +164,5 @@ mod tests {
             assert!(r.best().total_power > last);
             last = r.best().total_power;
         }
-    }
-
-    #[test]
-    fn summary_rows_serialize() {
-        let r = optimize_topology(&AdcSpec::date05(10), &params());
-        let s = summarize(&r);
-        assert_eq!(s.len(), 3);
-        assert!(s[0].total_power_mw <= s[1].total_power_mw);
-        assert!(!s[0].config.is_empty());
-        assert_eq!(s[0].stage_power_mw.len(), r.rows[0].stages.len());
     }
 }

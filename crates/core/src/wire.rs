@@ -16,9 +16,7 @@
 //! - durations ride as fractional milliseconds (`*_ms` keys).
 
 use crate::cache::{BlockCache, CacheEntry, SnapshotEntry};
-use crate::flow::{
-    FlowOptions, OtaRequirements, ResolutionRun, RetryPolicy, RunStats, TemplateKind,
-};
+use crate::flow::{FlowOptions, OtaRequirements, RetryPolicy, RunStats, TemplateKind};
 use crate::verify::ChainVerification;
 use adc_mdac::specs::AdcSpec;
 use adc_spice::process::Process;
@@ -597,26 +595,6 @@ pub fn run_stats_to_json(stats: &RunStats) -> JsonValue {
     ])
 }
 
-/// Rebuilds [`RunStats`] from the wire.
-///
-/// # Errors
-/// Missing/ill-typed fields.
-pub fn run_stats_from_json(v: &JsonValue) -> Result<RunStats, WireError> {
-    Ok(RunStats {
-        blocks: v.usize_field("blocks")?,
-        cache_hits: v.usize_field("cache_hits")?,
-        cache_seeded: v.usize_field("cache_seeded")?,
-        cold: v.usize_field("cold")?,
-        retargeted: v.usize_field("retargeted")?,
-        evaluations_spent: v.usize_field("evaluations_spent")?,
-        failed: v.usize_field("failed")?,
-        recovered: v.usize_field("recovered")?,
-        demoted: v.usize_field("demoted")?,
-        attempts: v.usize_field("attempts")?,
-        deadline_slack_ms: v.opt_f64_field("deadline_slack_ms")?.map(|ms| ms as i64),
-    })
-}
-
 fn chain_report_to_json(r: &ChainReport) -> JsonValue {
     JsonValue::Obj(vec![
         ("power".to_string(), JsonValue::num(r.power)),
@@ -685,18 +663,6 @@ pub fn verification_to_json(v: &ChainVerification) -> JsonValue {
             "power_analytic".to_string(),
             JsonValue::num(v.power_analytic),
         ),
-    ])
-}
-
-/// Wire image of a multi-resolution run's health row (the JSON shape of
-/// one [`run_health_table`](crate::report::run_health_table) line).
-pub fn resolution_run_to_json(run: &ResolutionRun) -> JsonValue {
-    JsonValue::Obj(vec![
-        (
-            "resolution".to_string(),
-            JsonValue::Num(f64::from(run.resolution)),
-        ),
-        ("stats".to_string(), run_stats_to_json(&run.stats)),
     ])
 }
 
@@ -1053,28 +1019,6 @@ mod tests {
         assert_eq!(back, cfg);
         let defaults = synth_config_from_json(&JsonValue::parse("{}").unwrap()).unwrap();
         assert_eq!(defaults, SynthConfig::default());
-    }
-
-    #[test]
-    fn run_stats_round_trip_with_and_without_slack() {
-        for slack in [None, Some(1234_i64), Some(-7)] {
-            let stats = RunStats {
-                blocks: 11,
-                cache_hits: 4,
-                cache_seeded: 2,
-                cold: 3,
-                retargeted: 2,
-                evaluations_spent: 900,
-                failed: 1,
-                recovered: 1,
-                demoted: 0,
-                attempts: 13,
-                deadline_slack_ms: slack,
-            };
-            let wire = run_stats_to_json(&stats).render();
-            let back = run_stats_from_json(&JsonValue::parse(&wire).unwrap()).unwrap();
-            assert_eq!(back, stats);
-        }
     }
 
     #[test]

@@ -35,8 +35,6 @@ use crate::power::StageDesign;
 use adc_spice::netlist::{Circuit, ClockPhase, NodeId};
 use adc_spice::process::Process;
 use adc_spice::subckt::{Instance, Subckt};
-use adc_spice::tran::Clock;
-use adc_spice::waveform::Waveform;
 use adc_spice::SpiceResult;
 
 /// Maps a nominal phase onto a stage's schedule: odd pipeline stages swap
@@ -233,15 +231,8 @@ impl MdacStageConfig {
 /// `vref`: the flip-around capacitor array (`G` sampling units with φ1
 /// sampling and φ2 reference switches, one feedback unit through the φ2
 /// switch), the OTA core as a **nested instance** under `ota.`, and the
-/// output-bias servo. Equivalent to [`build_mdac_stage_phased`] with
-/// `swap_phases = false`.
-pub fn build_mdac_stage(process: &Process, cfg: &MdacStageConfig) -> SpiceResult<Subckt> {
-    build_mdac_stage_phased(process, cfg, false)
-}
-
-/// [`build_mdac_stage`] with an explicit clock schedule: `swap_phases`
-/// exchanges φ1↔φ2 on every switch so odd pipeline stages sample while
-/// even ones amplify.
+/// output-bias servo. `swap_phases` exchanges φ1↔φ2 on every switch so
+/// odd pipeline stages sample while even ones amplify.
 ///
 /// Besides the signal-path switches the stage carries two **reset**
 /// switches that only matter under transient clocking (both are open in
@@ -320,14 +311,9 @@ pub fn build_mdac_stage_phased(
 /// ports `in` and `vref`: a `2^m`-segment resistive reference ladder and
 /// `2^m − 2` comparator inputs, each a sampling switch into an input
 /// capacitor against its ladder tap — the capacitive load the paper's
-/// `c_next` bookkeeping charges the previous stage for.
-pub fn build_sub_adc(bits: u32, c_cmp: f64, r_ladder_total: f64, ron: f64) -> SpiceResult<Subckt> {
-    build_sub_adc_phased(bits, c_cmp, r_ladder_total, ron, false)
-}
-
-/// [`build_sub_adc`] with an explicit clock schedule: `swap_phases` moves
-/// the comparator sampling switches to φ2, matching a stage whose own
-/// schedule is swapped (the bank samples alongside its stage).
+/// `c_next` bookkeeping charges the previous stage for. `swap_phases`
+/// moves the comparator sampling switches to φ2, matching a stage whose
+/// own schedule is swapped (the bank samples alongside its stage).
 pub fn build_sub_adc_phased(
     bits: u32,
     c_cmp: f64,
@@ -467,68 +453,12 @@ impl PipelineTestbench {
         }
     }
 
-    /// Phase during which stage `k` samples its input (φ1/φ2 alternate
-    /// down the chain: stage `k+1` samples while stage `k` amplifies, so
-    /// residues hand off every half period).
-    pub fn stage_sample_phase(&self, k: usize) -> ClockPhase {
-        sched(ClockPhase::Phi1, k % 2 == 1)
-    }
-
     /// Phase during which stage `k` amplifies — its output is valid at the
-    /// end of this phase.
+    /// end of this phase. φ1/φ2 alternate down the chain: stage `k+1`
+    /// samples while stage `k` amplifies, so residues hand off every half
+    /// period.
     pub fn stage_amplify_phase(&self, k: usize) -> ClockPhase {
         sched(ClockPhase::Phi2, k % 2 == 1)
-    }
-
-    /// Time window of stage `k`'s amplification phase within clock period
-    /// `period_index` — the probe window for settling sign-off.
-    pub fn stage_probe_window(&self, clock: &Clock, period_index: usize, k: usize) -> (f64, f64) {
-        clock.phase_window(period_index, self.stage_amplify_phase(k))
-    }
-
-    /// Replaces the input drive with a DC hold at `volts`: clocked
-    /// transient runs drive the chain with a held level and let the φ1
-    /// switches do the sampling. The AC magnitude is preserved, so
-    /// small-signal sweeps through the same testbench stay valid.
-    pub fn set_input_hold(&mut self, volts: f64) {
-        let (id, _) = self
-            .circuit
-            .find_element(&self.input_source)
-            .expect("input source exists");
-        self.circuit.set_waveform(id, Waveform::Dc(volts));
-    }
-
-    /// Retunes stage `k`'s OTA sizing in place through the instance path
-    /// (`s{k}.ota.*`), preserving the topology so bound workspaces stay
-    /// valid.
-    ///
-    /// # Panics
-    /// Panics if `k` is out of range or the sizing's template does not
-    /// match the stage's.
-    pub fn retune_stage_ota(&mut self, k: usize, sizing: &OtaSizing) {
-        let inst = &self.stages[k];
-        let ckt = &mut self.circuit;
-        match sizing {
-            OtaSizing::Telescopic(p) => {
-                inst.set_value(ckt, "ota.VBN", p.vbn);
-                inst.set_value(ckt, "ota.VBP1", p.vbp1);
-                inst.set_value(ckt, "ota.VBP2", p.vbp2);
-                inst.set_device_geometry(ckt, "ota.M1", p.w_in, p.l_in);
-                inst.set_device_geometry(ckt, "ota.M2", p.w_casc, p.l_in);
-                inst.set_device_geometry(ckt, "ota.M3", p.w_pcasc, p.l_p);
-                inst.set_device_geometry(ckt, "ota.M4", p.w_psrc, p.l_p);
-            }
-            OtaSizing::TwoStage(p) => {
-                inst.set_value(ckt, "ota.VBP", p.vbp);
-                inst.set_value(ckt, "ota.VBN2", p.vbn2);
-                inst.set_device_geometry(ckt, "ota.M1", p.w1, p.l1);
-                inst.set_device_geometry(ckt, "ota.M2", p.w2, p.l1);
-                inst.set_device_geometry(ckt, "ota.M3", p.w3, p.l2);
-                inst.set_device_geometry(ckt, "ota.M4", p.w4, p.l2);
-                inst.set_value(ckt, "ota.CC", p.cc);
-                inst.set_value(ckt, "ota.RZ", p.rz);
-            }
-        }
     }
 }
 
@@ -636,6 +566,8 @@ mod tests {
     use super::*;
     use adc_sfg::nettf::{extract_tf, NetTfOptions};
     use adc_spice::dc::dc_operating_point;
+    use adc_spice::tran::Clock;
+    use adc_spice::waveform::Waveform;
 
     fn tele_cfg(bits: u32, c_f: f64) -> MdacStageConfig {
         MdacStageConfig {
@@ -728,42 +660,6 @@ mod tests {
         assert!((g - 8.0).abs() / 8.0 < 0.08, "chain gain {g} vs expected 8");
     }
 
-    #[test]
-    fn retune_through_instance_paths_matches_rebuild() {
-        let proc = Process::c025();
-        let mut p = TelescopicParams::nominal();
-        let mut tb = build_pipeline(
-            &proc,
-            &[MdacStageConfig {
-                bits: 2,
-                c_f: 200e-15,
-                ota: OtaSizing::Telescopic(p.clone()),
-                ron: 100.0,
-            }],
-            &PipelineOptions::default(),
-        )
-        .unwrap();
-        p.w_in = 90e-6;
-        p.vbn = 1.2;
-        tb.retune_stage_ota(0, &OtaSizing::Telescopic(p.clone()));
-        let fresh = build_pipeline(
-            &proc,
-            &[MdacStageConfig {
-                bits: 2,
-                c_f: 200e-15,
-                ota: OtaSizing::Telescopic(p),
-                ron: 100.0,
-            }],
-            &PipelineOptions::default(),
-        )
-        .unwrap();
-        assert_eq!(tb.circuit.elements(), fresh.circuit.elements());
-        assert_eq!(
-            tb.circuit.topology_fingerprint(),
-            fresh.circuit.topology_fingerprint()
-        );
-    }
-
     fn switch_phase(ckt: &Circuit, name: &str) -> ClockPhase {
         ckt.elements()
             .iter()
@@ -807,9 +703,7 @@ mod tests {
         let proc = Process::c025();
         let stages = [tele_cfg(3, 400e-15), tele_cfg(2, 200e-15)];
         let mut tb = build_pipeline(&proc, &stages, &PipelineOptions::default()).unwrap();
-        assert_eq!(tb.stage_sample_phase(0), ClockPhase::Phi1);
         assert_eq!(tb.stage_amplify_phase(0), ClockPhase::Phi2);
-        assert_eq!(tb.stage_sample_phase(1), ClockPhase::Phi2);
         assert_eq!(tb.stage_amplify_phase(1), ClockPhase::Phi1);
         // The flattened netlist carries the alternation: stage 1 samples on
         // φ2, and its sub-ADC bank samples alongside it.
@@ -824,12 +718,13 @@ mod tests {
             freq: 40e6,
             nonoverlap: 1e-9,
         };
-        let (a0, b0) = tb.stage_probe_window(&clk, 0, 0);
-        let (a1, b1) = tb.stage_probe_window(&clk, 1, 1);
+        let (a0, b0) = clk.phase_window(0, tb.stage_amplify_phase(0));
+        let (a1, b1) = clk.phase_window(1, tb.stage_amplify_phase(1));
         assert!(a0 < b0 && b0 <= a1 && a1 < b1);
         // Input hold replaces the drive waveform but keeps the AC
         // magnitude, so the same testbench still sweeps.
-        tb.set_input_hold(1.7);
+        let (id, _) = tb.circuit.find_element(&tb.input_source).unwrap();
+        tb.circuit.set_waveform(id, Waveform::Dc(1.7));
         let (_, e) = tb.circuit.find_element("VIN").unwrap();
         match e {
             adc_spice::netlist::Element::VSource { wave, ac_mag, .. } => {
@@ -842,7 +737,7 @@ mod tests {
 
     #[test]
     fn sub_adc_structure() {
-        let bank = build_sub_adc(3, 10e-15, 10e3, 100.0).unwrap();
+        let bank = build_sub_adc_phased(3, 10e-15, 10e3, 100.0, false).unwrap();
         // 8 ladder resistors, 6 comparators (switch + cap each).
         let c = bank.circuit();
         assert_eq!(

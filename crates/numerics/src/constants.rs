@@ -3,32 +3,15 @@
 /// Boltzmann constant in J/K.
 pub const BOLTZMANN: f64 = 1.380_649e-23;
 
-/// Elementary charge in C.
-pub const ELEMENTARY_CHARGE: f64 = 1.602_176_634e-19;
-
 /// Nominal simulation temperature in kelvin (27 °C, the SPICE default).
 pub const T_NOMINAL: f64 = 300.15;
 
 /// `kT` at the nominal temperature, in joules.
 pub const KT_NOMINAL: f64 = BOLTZMANN * T_NOMINAL;
 
-/// Thermal voltage `kT/q` at nominal temperature, in volts (≈ 25.9 mV).
-pub const VT_THERMAL: f64 = KT_NOMINAL / ELEMENTARY_CHARGE;
-
-/// Vacuum permittivity in F/m.
-pub const EPS0: f64 = 8.854_187_812_8e-12;
-
-/// Relative permittivity of SiO₂.
-pub const EPS_R_SIO2: f64 = 3.9;
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn thermal_voltage_is_about_26mv() {
-        assert!((VT_THERMAL - 0.0259).abs() < 0.001);
-    }
 
     #[test]
     fn kt_is_about_4e21() {

@@ -47,11 +47,6 @@ impl Deadline {
         }
     }
 
-    /// `true` when no finite budget is set.
-    pub fn is_unlimited(&self) -> bool {
-        self.at.is_none()
-    }
-
     /// Has the budget run out? Unlimited deadlines never expire.
     #[inline]
     pub fn expired(&self) -> bool {
@@ -82,7 +77,6 @@ mod tests {
     #[test]
     fn unlimited_never_expires() {
         let d = Deadline::none();
-        assert!(d.is_unlimited());
         assert!(!d.expired());
         assert!(d.remaining().is_none());
         assert!(d.slack_seconds().is_none());
@@ -91,7 +85,7 @@ mod tests {
     #[test]
     fn zero_budget_expires_immediately() {
         let d = Deadline::within(Duration::from_secs(0));
-        assert!(!d.is_unlimited());
+        assert!(d.remaining().is_some());
         assert!(d.expired());
         assert_eq!(d.slack_seconds(), Some(0.0));
     }
@@ -110,13 +104,16 @@ mod tests {
         let combined = late.earliest(soon);
         assert!(combined.remaining().unwrap() <= Duration::from_millis(1));
         // Unlimited loses to any finite deadline, in either order.
-        assert!(!Deadline::none().earliest(soon).is_unlimited());
-        assert!(!soon.earliest(Deadline::none()).is_unlimited());
-        assert!(Deadline::none().earliest(Deadline::none()).is_unlimited());
+        assert!(Deadline::none().earliest(soon).remaining().is_some());
+        assert!(soon.earliest(Deadline::none()).remaining().is_some());
+        assert!(Deadline::none()
+            .earliest(Deadline::none())
+            .remaining()
+            .is_none());
     }
 
     #[test]
     fn default_is_unlimited() {
-        assert!(Deadline::default().is_unlimited());
+        assert!(Deadline::default().remaining().is_none());
     }
 }

@@ -4,9 +4,8 @@
 //! reproduction: complex arithmetic, real/complex polynomials with robust
 //! root finding, dense linear algebra (LU with partial pivoting, real and
 //! complex), sparse CSR linear algebra (LU with a reusable symbolic
-//! factorization for MNA-shaped systems), radix-2 FFT with spectral
-//! windows, explicit Runge-Kutta ODE integration, scalar
-//! root-finding/minimization, and small statistics helpers.
+//! factorization for MNA-shaped systems), and radix-2 FFT with spectral
+//! windows.
 //!
 //! Everything here is written from scratch (no external math crates) so the
 //! higher layers — the circuit simulator, the DPI/SFG symbolic analysis and
@@ -32,14 +31,11 @@ pub mod faults;
 pub mod fft;
 pub mod interp;
 pub mod linalg;
-pub mod ode;
-pub mod optimize1d;
 pub mod poly;
 pub mod quant;
 pub mod roots;
 pub mod simd;
 pub mod sparse;
-pub mod stats;
 
 pub use complex::Complex;
 pub use deadline::Deadline;

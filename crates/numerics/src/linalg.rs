@@ -175,17 +175,6 @@ impl Matrix {
         out
     }
 
-    /// Transpose.
-    pub fn transpose(&self) -> Matrix {
-        let mut t = Matrix::zeros(self.cols, self.rows);
-        for i in 0..self.rows {
-            for j in 0..self.cols {
-                t[(j, i)] = self[(i, j)];
-            }
-        }
-        t
-    }
-
     /// LU factorization with partial pivoting (allocates a fresh [`Lu`];
     /// reuse-oriented callers should keep one [`Lu`] and call
     /// [`Lu::factor_into`] instead).
@@ -216,18 +205,6 @@ impl Matrix {
             Ok(lu) => lu.det(),
             Err(_) => 0.0,
         }
-    }
-
-    /// Infinity norm (max absolute row sum).
-    pub fn norm_inf(&self) -> f64 {
-        (0..self.rows)
-            .map(|i| {
-                self.data[i * self.cols..(i + 1) * self.cols]
-                    .iter()
-                    .map(|v| v.abs())
-                    .sum::<f64>()
-            })
-            .fold(0.0, f64::max)
     }
 }
 
@@ -778,15 +755,6 @@ mod tests {
     }
 
     #[test]
-    fn transpose_round_trip() {
-        let a = Matrix::from_rows(&[&[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0]]);
-        let t = a.transpose();
-        assert_eq!(t.rows(), 3);
-        assert_eq!(t.cols(), 2);
-        assert_eq!(t.transpose(), a);
-    }
-
-    #[test]
     fn lu_reuse_for_multiple_rhs() {
         let a = Matrix::from_rows(&[&[4.0, 3.0], &[6.0, 3.0]]);
         let lu = a.lu().unwrap();
@@ -847,11 +815,5 @@ mod tests {
     fn complex_singular_detected() {
         let a = CMatrix::zeros(2, 2);
         assert!(a.solve(&[Complex::ONE, Complex::ONE]).is_err());
-    }
-
-    #[test]
-    fn norm_inf_rowsums() {
-        let a = Matrix::from_rows(&[&[1.0, -2.0], &[3.0, 0.5]]);
-        assert!((a.norm_inf() - 3.5).abs() < 1e-15);
     }
 }

@@ -15,7 +15,7 @@
 //! reconnects when the server hangs up (idle timeout or per-connection
 //! request bound) — the path `bench_serve` and smoke mode measure.
 
-use std::io::{self, BufRead, BufReader, Write};
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 
 /// Cap on header block and body sizes: a malformed or hostile client must
@@ -42,16 +42,38 @@ pub struct Request {
     pub keep_alive: bool,
 }
 
+/// Appends one line to `line`, consuming at most `budget + 1` bytes, and
+/// returns its length. A line longer than `budget` is rejected before the
+/// rest of it is read, so a client that never sends a newline cannot make
+/// the server buffer an unbounded line.
+fn read_line_within<R: BufRead>(
+    reader: &mut R,
+    line: &mut String,
+    budget: usize,
+) -> io::Result<usize> {
+    let n = reader.by_ref().take(budget as u64 + 1).read_line(line)?;
+    if n > budget {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            "header block too large",
+        ));
+    }
+    Ok(n)
+}
+
 /// Reads one request off a persistent reader. `Ok(None)` means the peer
 /// closed (or went idle past a configured read timeout) between requests
-/// — the clean end of a keep-alive session.
+/// — the clean end of a keep-alive session. The request line and headers
+/// together may span at most `MAX_HEADER_BYTES`, and no more than that
+/// (plus the reader's buffer) is consumed before an oversized block is
+/// rejected.
 ///
 /// # Errors
 /// Propagates socket errors; malformed framing surfaces as
 /// [`io::ErrorKind::InvalidData`].
 pub fn read_request<R: BufRead>(reader: &mut R) -> io::Result<Option<Request>> {
     let mut line = String::new();
-    match reader.read_line(&mut line) {
+    match read_line_within(reader, &mut line, MAX_HEADER_BYTES) {
         Ok(0) => return Ok(None),
         Ok(_) => {}
         // An idle read timeout between requests is a clean close, not an
@@ -81,19 +103,13 @@ pub fn read_request<R: BufRead>(reader: &mut R) -> io::Result<Option<Request>> {
     let mut header_bytes = line.len();
     loop {
         let mut header = String::new();
-        if reader.read_line(&mut header)? == 0 {
+        if read_line_within(reader, &mut header, MAX_HEADER_BYTES - header_bytes)? == 0 {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidData,
                 "connection closed inside headers",
             ));
         }
         header_bytes += header.len();
-        if header_bytes > MAX_HEADER_BYTES {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "header block too large",
-            ));
-        }
         let trimmed = header.trim_end();
         if trimmed.is_empty() {
             break;
@@ -362,5 +378,72 @@ impl Client {
             }
             Err(e) => Err(e),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Counts the bytes pulled from the inner reader.
+    struct Counting<R> {
+        inner: R,
+        consumed: usize,
+    }
+
+    impl<R: Read> Read for Counting<R> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            let n = self.inner.read(buf)?;
+            self.consumed += n;
+            Ok(n)
+        }
+    }
+
+    /// Feeds `head` followed by 4 MiB of `a` with no newline, checks that
+    /// at most the header budget plus one buffer was consumed, and returns
+    /// the error.
+    fn read_endless_line(head: &[u8]) -> io::Error {
+        let endless = io::repeat(b'a').take(4 << 20);
+        let mut reader = BufReader::new(Counting {
+            inner: head.chain(endless),
+            consumed: 0,
+        });
+        let err = read_request(&mut reader).expect_err("oversized line accepted");
+        let consumed = reader.get_ref().consumed;
+        assert!(
+            consumed <= MAX_HEADER_BYTES + reader.capacity(),
+            "consumed {consumed} bytes before rejecting"
+        );
+        err
+    }
+
+    #[test]
+    fn endless_request_line_is_rejected_within_the_header_budget() {
+        let err = read_endless_line(b"GET /");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert_eq!(err.to_string(), "header block too large");
+    }
+
+    #[test]
+    fn endless_header_line_is_rejected_within_the_header_budget() {
+        let err = read_endless_line(b"GET /healthz HTTP/1.1\r\nx-pad: ");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert_eq!(err.to_string(), "header block too large");
+    }
+
+    #[test]
+    fn header_block_at_the_budget_is_accepted() {
+        let head = "GET /healthz HTTP/1.1\r\n";
+        // Pad one header so the block (head + header + blank line) is
+        // exactly MAX_HEADER_BYTES long.
+        let pad = MAX_HEADER_BYTES - head.len() - "x-pad: \r\n\r\n".len();
+        let request = format!("{head}x-pad: {}\r\n\r\n", "a".repeat(pad));
+        assert_eq!(request.len(), MAX_HEADER_BYTES);
+        let parsed = read_request(&mut request.as_bytes()).unwrap().unwrap();
+        assert_eq!(parsed.path, "/healthz");
+        // One byte more is over budget.
+        let over = format!("{head}x-pad: {}a\r\n\r\n", "a".repeat(pad));
+        let err = read_request(&mut over.as_bytes()).unwrap_err();
+        assert_eq!(err.to_string(), "header block too large");
     }
 }

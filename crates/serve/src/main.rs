@@ -47,10 +47,12 @@ fn main() {
                 config.snapshot = Some(PathBuf::from(expect_value(&mut iter, "--snapshot")))
             }
             "--snapshot-every" => {
-                config.snapshot_every = Some(Duration::from_secs(parse_value(
-                    &mut iter,
-                    "--snapshot-every",
-                ) as u64));
+                let secs = parse_value(&mut iter, "--snapshot-every");
+                if secs == 0 {
+                    eprintln!("--snapshot-every needs a positive number of seconds");
+                    std::process::exit(2);
+                }
+                config.snapshot_every = Some(Duration::from_secs(secs as u64));
             }
             other => {
                 eprintln!("unknown argument `{other}`");
@@ -68,7 +70,7 @@ fn main() {
         config.addr
     };
     let server = FlowServer::start(config).unwrap_or_else(|e| {
-        eprintln!("bind failed: {e}");
+        eprintln!("failed to start: {e}");
         std::process::exit(1);
     });
     println!("adc-serve listening on http://{}", server.addr());

@@ -82,7 +82,9 @@ pub struct ServerConfig {
     /// boot, not an error), saved atomically on shutdown.
     pub snapshot: Option<PathBuf>,
     /// Additionally save the snapshot at this interval while running
-    /// (ignored without [`ServerConfig::snapshot`]).
+    /// (ignored without [`ServerConfig::snapshot`]). A zero interval is
+    /// rejected by [`FlowServer::start`]: it would rewrite the snapshot in
+    /// a busy loop.
     pub snapshot_every: Option<Duration>,
 }
 
@@ -135,10 +137,18 @@ impl FlowServer {
     /// reachable.
     ///
     /// # Errors
-    /// Socket bind errors. A missing, truncated, or corrupted snapshot is
-    /// **not** an error: bad entries are dropped and counted
-    /// (`corrupt_dropped` on `/healthz`), and the server boots cold.
+    /// Socket bind errors, and [`io::ErrorKind::InvalidInput`] for a zero
+    /// [`ServerConfig::snapshot_every`]. A missing, truncated, or
+    /// corrupted snapshot is **not** an error: bad entries are dropped and
+    /// counted (`corrupt_dropped` on `/healthz`), and the server boots
+    /// cold.
     pub fn start(config: ServerConfig) -> io::Result<FlowServer> {
+        if config.snapshot_every == Some(Duration::ZERO) {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                "snapshot interval must be positive",
+            ));
+        }
         let listener = TcpListener::bind(&config.addr)?;
         let addr = listener.local_addr()?;
         let shared = Arc::new(Shared {

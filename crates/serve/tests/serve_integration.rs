@@ -465,6 +465,53 @@ fn snapshot_restart_serves_warm_resubmissions_with_zero_cold_syntheses() {
     let _ = std::fs::remove_file(&path);
 }
 
+/// A zero snapshot interval would rewrite the snapshot in a busy loop, so
+/// the server refuses to start with one, and the CLI refuses `0` before
+/// binding anything.
+#[test]
+fn zero_snapshot_interval_is_rejected() {
+    let path = snapshot_path("zero-interval");
+    match FlowServer::start(ServerConfig {
+        snapshot: Some(path.clone()),
+        snapshot_every: Some(Duration::ZERO),
+        ..ServerConfig::default()
+    }) {
+        Err(e) => assert_eq!(e.kind(), std::io::ErrorKind::InvalidInput, "{e}"),
+        Ok(server) => {
+            server.shutdown();
+            let _ = std::fs::remove_file(&path);
+            panic!("a zero snapshot interval was accepted");
+        }
+    }
+
+    let mut child = std::process::Command::new(env!("CARGO_BIN_EXE_adc-serve"))
+        .args(["--addr", "localhost:0", "--snapshot"])
+        .arg(&path)
+        .args(["--snapshot-every", "0"])
+        .stdout(std::process::Stdio::null())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .unwrap();
+    let deadline = Instant::now() + Duration::from_secs(30);
+    let status = loop {
+        if let Some(status) = child.try_wait().unwrap() {
+            break status;
+        }
+        if Instant::now() > deadline {
+            child.kill().unwrap();
+            child.wait().unwrap();
+            let _ = std::fs::remove_file(&path);
+            panic!("adc-serve --snapshot-every 0 kept running");
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    };
+    let mut stderr = String::new();
+    std::io::Read::read_to_string(&mut child.stderr.take().unwrap(), &mut stderr).unwrap();
+    assert_eq!(status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("--snapshot-every"), "{stderr}");
+    assert!(!path.exists(), "no snapshot written");
+}
+
 /// A truncated (unparseable) snapshot file must boot the server cold —
 /// drop counted, nothing served from it, no crash — and the server then
 /// works normally.

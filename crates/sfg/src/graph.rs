@@ -43,13 +43,6 @@ pub struct PathGain {
     pub nodes: Vec<SfgNode>,
 }
 
-impl PathGain {
-    /// True if this path/loop shares no node with `other`.
-    pub fn non_touching(&self, other: &PathGain) -> bool {
-        self.mask & other.mask == 0
-    }
-}
-
 /// A signal-flow graph.
 #[derive(Debug, Clone, Default)]
 pub struct Sfg {
@@ -326,7 +319,7 @@ mod tests {
         g.add_edge(d, c, k("v"));
         let loops = g.loops();
         assert_eq!(loops.len(), 2);
-        assert!(loops[0].non_touching(&loops[1]));
+        assert_eq!(loops[0].mask & loops[1].mask, 0);
     }
 
     #[test]

@@ -48,11 +48,6 @@ impl SymPoly {
         }
     }
 
-    /// The monomial `c·s`.
-    pub fn s_times(c: SymExpr) -> Self {
-        SymPoly::new(vec![SymExpr::zero(), c])
-    }
-
     /// Ascending coefficients.
     pub fn coeffs(&self) -> &[SymExpr] {
         &self.coeffs

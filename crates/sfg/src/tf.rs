@@ -144,16 +144,6 @@ impl Tf {
         self.zeros_cached().to_vec()
     }
 
-    /// True if every pole has a strictly negative real part.
-    pub fn is_stable(&self) -> bool {
-        self.poles_cached().iter().all(|p| p.re < 0.0)
-    }
-
-    /// Cascade (series) connection: `self · other`.
-    pub fn cascade(&self, other: &Tf) -> Tf {
-        Tf::new(&self.num * &other.num, &self.den * &other.den)
-    }
-
     /// Removes matching pole/zero pairs closer than `rel_tol` (relative to
     /// magnitude). Useful after determinant-based extraction.
     ///
@@ -367,7 +357,6 @@ mod tests {
         let p = h.poles();
         assert_eq!(p.len(), 1);
         assert!((p[0].re + 2.0 * std::f64::consts::PI * 1e3).abs() < 1.0);
-        assert!(h.is_stable());
     }
 
     #[test]
@@ -389,7 +378,7 @@ mod tests {
         // A0=1000, p1=1kHz, p2=1MHz = GBW: classic ~51.8° margin point.
         let p1 = Tf::single_pole(1000.0, 2.0 * std::f64::consts::PI * 1e3);
         let p2 = Tf::single_pole(1.0, 2.0 * std::f64::consts::PI * 1e6);
-        let h = p1.cascade(&p2);
+        let h = Tf::new(&p1.num * &p2.num, &p1.den * &p2.den);
         let pm = h.phase_margin_deg(1.0, 1e10).unwrap();
         assert!(pm > 45.0 && pm < 60.0, "pm = {pm}");
     }
@@ -428,7 +417,6 @@ mod tests {
         // Unstable system returns None.
         let bad = Tf::new(Poly::constant(1.0), Poly::new(vec![-1.0, 1.0]));
         assert!(bad.settling_time(1e-3).is_none());
-        assert!(!bad.is_stable());
     }
 
     #[test]

@@ -101,24 +101,6 @@ impl OperatingPoint {
             _ => None,
         }
     }
-
-    /// Total power delivered by all independent voltage sources, W.
-    ///
-    /// For a single-supply circuit this is the number the paper's power
-    /// optimization minimizes.
-    pub fn total_source_power(&self, circuit: &Circuit) -> f64 {
-        circuit
-            .elements()
-            .iter()
-            .filter_map(|e| match e {
-                Element::VSource { name, wave, .. } => {
-                    let i = self.branch_current(name)?;
-                    Some(-wave.dc_value() * i)
-                }
-                _ => None,
-            })
-            .sum()
-    }
 }
 
 #[cfg(test)]
@@ -135,7 +117,6 @@ mod tests {
         let op = dc_operating_point(&c, &DcOptions::default()).unwrap();
         // 3 V, 1 mA → 3 mW delivered.
         assert!((op.source_power(&c, "V1").unwrap() - 3e-3).abs() < 1e-9);
-        assert!((op.total_source_power(&c) - 3e-3).abs() < 1e-9);
     }
 
     #[test]

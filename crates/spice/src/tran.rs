@@ -225,15 +225,6 @@ impl TranResult {
         self.data[k * self.node_count + node.index()]
     }
 
-    /// Final node voltage.
-    pub fn final_voltage(&self, node: NodeId) -> f64 {
-        if self.times.is_empty() {
-            0.0
-        } else {
-            self.voltage_at(node, self.times.len() - 1)
-        }
-    }
-
     /// Node voltage at time `t`, linearly interpolated between samples
     /// (clamped to the run's time span). Adaptive runs place samples
     /// unevenly, so probing "the voltage at phase end" goes through here.
@@ -1750,7 +1741,7 @@ mod tests {
         let v_tau = result.voltage_at(out, idx);
         let want = 1.0 - (-1.0f64).exp();
         assert!((v_tau - want).abs() < 5e-3, "v(τ) = {v_tau}, want {want}");
-        assert!((result.final_voltage(out) - 1.0).abs() < 1e-2);
+        assert!((result.voltage_at(out, result.len() - 1) - 1.0).abs() < 1e-2);
     }
 
     #[test]
@@ -1933,7 +1924,7 @@ mod tests {
         .unwrap();
         // τ = 1 µs, simulate 10 ns → essentially unchanged.
         assert!((result.voltage_at(a, 0) - 2.0).abs() < 1e-9);
-        assert!((result.final_voltage(a) - 2.0).abs() < 0.05);
+        assert!((result.voltage_at(a, result.len() - 1) - 2.0).abs() < 0.05);
     }
 
     #[test]
@@ -2095,7 +2086,7 @@ mod tests {
         }
         assert!((result.sample_at(cap_node, 0.4e-6) - 1.0).abs() < 1e-3);
         assert!((result.sample_at(cap_node, 0.9e-6) - 1.0).abs() < 1e-3);
-        assert!((result.final_voltage(cap_node) - 1.0).abs() < 1e-3);
+        assert!((result.voltage_at(cap_node, result.len() - 1) - 1.0).abs() < 1e-3);
     }
 
     #[test]

@@ -170,11 +170,6 @@ impl Synthesizer {
         &self.constraints
     }
 
-    /// Replaces the constraint set (spec retargeting).
-    pub fn set_constraints(&mut self, constraints: Vec<Constraint>) {
-        self.constraints = constraints;
-    }
-
     /// Deterministic fingerprint of the synthesis *problem* — design-space
     /// bounds and scales, the constraint set (targets on the normalized
     /// grid) and the objective. Together with [`SynthConfig::fingerprint`]
@@ -335,31 +330,18 @@ impl Synthesizer {
             .expect("unlimited deadline cannot time out")
     }
 
-    /// Unified entry point dispatching on the [`WarmStart`] mode.
+    /// Unified entry point dispatching on the [`WarmStart`] mode, with a
+    /// cooperative wall-clock budget and a typed error channel: an expired
+    /// `deadline` yields [`SynthError::Timeout`] instead of an open-ended
+    /// search. An unlimited deadline takes a path bit-identical to
+    /// [`Synthesizer::synthesize`] / [`Synthesizer::retarget`].
+    ///
     /// [`WarmStart::Reuse`] is the cache hit path: the stored result is
     /// returned **verbatim** (including its recorded evaluation count), so
     /// a cache hit is bit-indistinguishable from re-running the original
     /// synthesis; callers account the evaluations actually *spent* in a
-    /// run separately.
-    pub fn execute<E: Evaluator>(
-        &self,
-        evaluator: &E,
-        cfg: &SynthConfig,
-        start: WarmStart<'_>,
-    ) -> SynthResult {
-        match start {
-            WarmStart::Cold => self.synthesize(evaluator, cfg),
-            WarmStart::Retarget(prev) => self.retarget(evaluator, prev, cfg),
-            WarmStart::Reuse(hit) => hit.clone(),
-        }
-    }
-
-    /// [`Synthesizer::execute`] with a cooperative wall-clock budget and a
-    /// typed error channel: an expired `deadline` yields
-    /// [`SynthError::Timeout`] instead of an open-ended search. An
-    /// unlimited deadline takes a path bit-identical to
-    /// [`Synthesizer::execute`]. [`WarmStart::Reuse`] never times out —
-    /// returning a stored result consumes no budget.
+    /// run separately. It never times out — returning a stored result
+    /// consumes no budget.
     pub fn try_execute<E: Evaluator>(
         &self,
         evaluator: &E,
@@ -465,7 +447,7 @@ mod tests {
 
     #[test]
     fn retarget_uses_fewer_evaluations() {
-        let mut synth = Synthesizer::new(amp_space(), amp_constraints(60.0, 1e6), "power");
+        let synth = Synthesizer::new(amp_space(), amp_constraints(60.0, 1e6), "power");
         let cfg = SynthConfig {
             iterations: 3000,
             seed: 12,
@@ -474,7 +456,7 @@ mod tests {
         let cold = synth.synthesize(&amp_eval, &cfg);
         assert!(cold.feasible);
         // New spec: slightly different gain/bandwidth targets.
-        synth.set_constraints(amp_constraints(50.0, 1.2e6));
+        let synth = Synthesizer::new(amp_space(), amp_constraints(50.0, 1.2e6), "power");
         let warm = synth.retarget(&amp_eval, &cold, &cfg);
         assert!(warm.feasible, "{:?}", warm.best_perf);
         assert!(
@@ -510,7 +492,7 @@ mod tests {
             seed: 14,
             ..Default::default()
         };
-        let plain = synth.execute(&amp_eval, &cfg, WarmStart::Cold);
+        let plain = synth.synthesize(&amp_eval, &cfg);
         let budgeted = synth
             .try_execute(&amp_eval, &cfg, WarmStart::Cold, Deadline::none())
             .unwrap();
